@@ -17,7 +17,7 @@ alignment is what makes the corner-basis rotation meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,10 @@ class SpectrumResult:
 
 
 def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
-    """Block-assemble the Sambe matrix for harmonic cutoff M >= 1."""
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+    """Block-assemble the Sambe matrix for harmonic cutoff M >= 0 (M = 0
+    only for static operators)."""
+    if M < 0:
+        raise ValueError(f"need M >= 0, got {M}")
     if bdg.max_harmonic > 2 * M:
         raise ValueError("cutoff M too small for the harmonic content")
     d = bdg.dim

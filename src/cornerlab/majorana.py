@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from cornerlab import fock
+
 SPECIES = ("0", "pi")
 N_MAJORANA = 8
 N_MODES = 4
@@ -163,24 +165,10 @@ IDENTITY = MajoranaString(0, ())
 
 # --- 16-dim matrix representation (Jordan-Wigner) -------------------------
 
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
 @lru_cache(maxsize=1)
 def _gamma_matrices() -> tuple[np.ndarray, ...]:
-    cs = []
-    for k in range(N_MODES):
-        mats = [_Z] * k + [_ANNIHILATE] + [np.eye(2, dtype=complex)] * (N_MODES - k - 1)
-        m = np.array([[1.0]], dtype=complex)
-        for factor in mats:
-            m = np.kron(m, factor)
-        cs.append(m)
-    gammas = []
-    for k in range(N_MODES):
-        c, cd = cs[k], cs[k].conj().T
-        gammas.append(c + cd)            # A-type
-        gammas.append(1j * (cd - c))     # B-type
+    """(A, B) Majorana pairs of the four Jordan-Wigner modes, read-only."""
+    gammas = [m for k in range(N_MODES) for m in fock.majorana_pair(N_MODES, k)]
     for m in gammas:
         m.setflags(write=False)
     return tuple(gammas)

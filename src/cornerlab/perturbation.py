@@ -27,40 +27,28 @@ the N+-1 levels at -eps_+-).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from cornerlab import fock
 from cornerlab.floquet import assemble_sambe, fold
-from cornerlab.lattice import DrivenBdG
-
-TWO_PI = 2.0 * np.pi
+from cornerlab.lattice import TWO_PI, DrivenBdG
 
 
 # --------------------------------------------------------------------------
 # generic Floquet perturbation theory
 # --------------------------------------------------------------------------
 
-def sambe_lift(harmonics: dict[int, np.ndarray], M: int) -> np.ndarray:
-    """Block matrix [V]_{nm} = v^(n-m) without any diagonal n*omega term."""
-    dims = {h.shape[0] for h in harmonics.values()}
-    d = dims.pop()
-    D = (2 * M + 1) * d
-    out = np.zeros((D, D), dtype=complex)
-    for n in range(-M, M + 1):
-        for m in range(-M, M + 1):
-            h = harmonics.get(n - m)
-            if h is not None:
-                out[(n + M) * d:(n + M + 1) * d, (m + M) * d:(m + M + 1) * d] = h
-    return out
-
-
 @dataclass
 class PerturbationProblem:
     """H(t) = H0(t) + lam * V(t), both given by Fourier harmonics on the
-    base frequency `omega` (use omega/2 as base for period-2T problems)."""
+    base frequency `omega` (use omega/2 as base for period-2T problems).
+
+    Both Sambe matrices are assembled once, at construction; V is lifted
+    without the n*omega diagonal.  m_cutoff = 0 is allowed for static
+    problems only."""
 
     h0: dict[int, np.ndarray]
     v: dict[int, np.ndarray]
@@ -69,23 +57,14 @@ class PerturbationProblem:
     lam: float = 1.0
 
     def __post_init__(self):
-        for name, h in (("h0", self.h0), ("v", self.v)):
-            for m, mat in h.items():
-                partner = h.get(-m)
-                if partner is None or not np.allclose(
-                        mat.conj().T, partner, atol=1e-12):
-                    raise ValueError(f"{name}: harmonics {m}/{-m} not mutually adjoint")
-
-    def _sambe_h0(self) -> np.ndarray:
-        if self.m_cutoff == 0:
-            if set(self.h0) - {0} or set(self.v) - {0}:
-                raise ValueError("m_cutoff = 0 requires a static problem")
-            return np.asarray(self.h0[0], dtype=complex)
-        return assemble_sambe(DrivenBdG(self.h0, self.omega), self.m_cutoff).matrix
+        # DrivenBdG rejects harmonics that are not mutually adjoint
+        self._h0_sambe = assemble_sambe(
+            DrivenBdG(self.h0, self.omega), self.m_cutoff).matrix
+        self._v_sambe = assemble_sambe(DrivenBdG(self.v, 0.0), self.m_cutoff).matrix
 
     @cached_property
     def _unperturbed(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self._sambe_h0())
+        return np.linalg.eigh(self._h0_sambe)
 
     @property
     def eps0(self) -> np.ndarray:
@@ -98,9 +77,8 @@ class PerturbationProblem:
     @cached_property
     def v_matrix(self) -> np.ndarray:
         """The perturbation in the unperturbed Sambe eigenbasis (lam excluded)."""
-        V = sambe_lift(self.v, self.m_cutoff)
         W = self.basis
-        return W.conj().T @ V @ W
+        return W.conj().T @ self._v_sambe @ W
 
     def cluster_near(self, center: float, tol: float) -> np.ndarray:
         """Indices of unperturbed Sambe states within tol of `center`."""
@@ -108,8 +86,7 @@ class PerturbationProblem:
 
     def exact_quasienergies(self) -> np.ndarray:
         """Eigenvalues of the full Sambe matrix H0 + lam*V (unfolded)."""
-        H = self._sambe_h0() + self.lam * sambe_lift(self.v, self.m_cutoff)
-        return np.linalg.eigvalsh(H)
+        return np.linalg.eigvalsh(self._h0_sambe + self.lam * self._v_sambe)
 
 
 @dataclass
@@ -343,15 +320,14 @@ class ToyModel:
     def is_static(self) -> bool:
         return set(self.harmonics) <= {0}
 
-    def exact_levels(self, m_cutoff: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    def exact_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """(quasienergies, eigenvectors at t = 0).
 
         Static models are diagonalized directly.  Driven models go through
         the one-period propagator U(2T) (the couplings live on the omega/2
         grid, so the full period is 2T): quasienergies are its eigenphases,
         defined modulo omega/2 — each physical state appears exactly once,
-        with no Sambe replica bookkeeping.  (m_cutoff is kept for API
-        compatibility; the propagator route does not truncate harmonics.)
+        with no Sambe replica bookkeeping and no harmonic truncation.
         """
         if self.is_static():
             return np.linalg.eigh(self.harmonics[0])
@@ -448,14 +424,13 @@ def _cluster_states(
     mediator: str,
     spectator: str | None,
     spectator_parity: float = -1.0,
-    m_cutoff: int = 8,
 ) -> list[tuple[float, float]]:
     """(quasienergy, mediator-parity expectation) of exact eigenstates near
     0 in the given conserved-charge sector.
 
     Near-degenerate groups are rotated to diagonalize the mediator parity,
     so the classification stays sharp even at vanishing coupling."""
-    evals, evecs = toy.exact_levels(m_cutoff=m_cutoff)
+    evals, evecs = toy.exact_levels()
     picked = []
     for k in range(evals.size):
         e = float(evals[k]) if toy.is_static() else float(
@@ -522,7 +497,6 @@ def effective_two_lead_block(params: TwoLeadParams, parity: int,
 def verify_effective_model(
     params: TwoLeadParams,
     scale: float = 1.0,
-    m_cutoff: int = 8,
 ) -> float:
     """Max relative deviation between exact toy-model cluster splittings and
     the effective-model prediction, per parity sector.
@@ -546,8 +520,7 @@ def verify_effective_model(
     toy = two_lead_toy(params, scale=scale)
     gap = min(abs(params.eps_plus), abs(params.eps_minus))
     states = _cluster_states(toy, charge_value=2.0, window=0.45 * gap,
-                             mediator=mediator, spectator=spectator,
-                             m_cutoff=m_cutoff)
+                             mediator=mediator, spectator=spectator)
     if len(states) != 4:
         raise RuntimeError(f"expected 4 cluster states, found {len(states)}")
     worst = 0.0
@@ -564,13 +537,13 @@ def verify_effective_model(
 
 
 def signed_splitting(params: TwoLeadParams, parity: int,
-                     scale: float = 1.0, m_cutoff: int = 8) -> float:
+                     scale: float = 1.0) -> float:
     """Exact toy-model splitting with a sign fixed by the lead eigenvector:
     positive when the (|i> + e^{i arg T}|j>)/sqrt(2) lead combination is the
     raised state of its parity sector.  Flipping the mediating parity flips
     this sign exactly."""
     toy = two_lead_toy(params, scale=scale)
-    evals, evecs = toy.exact_levels(m_cutoff=m_cutoff)
+    evals, evecs = toy.exact_levels()
     gap = min(abs(params.eps_plus), abs(params.eps_minus))
     _, T = lead_effective_coupling(params)
     t0 = T.get(0, 0.0)

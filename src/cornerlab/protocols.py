@@ -86,6 +86,7 @@ class ProtocolRun:
     corrections: list[str] = field(default_factory=list)
     state: FockState | None = None
     total_retries: int = 0
+    own_steps: int | None = None     # steps before correction sub-protocols
 
     @property
     def outcomes(self) -> tuple[int, ...]:
@@ -93,8 +94,10 @@ class ProtocolRun:
 
     @property
     def branch_probability(self) -> float:
+        """Probability of the protocol's own outcome string; the sampled
+        steps of measured corrections are not part of the branch."""
         p = 1.0
-        for s in self.steps:
+        for s in self.steps[:self.own_steps]:
             p *= s.probability
         return p
 
@@ -174,6 +177,7 @@ class _Executor:
         self.steps: list[ProtocolStep] = []
         self.corrections: list[str] = []
         self.total_retries = 0
+        self.own_steps: int | None = None
 
     def measure_free(self, parity: MajoranaString) -> int:
         """One measurement with a free outcome (sampled or forced)."""
@@ -243,6 +247,8 @@ class _Executor:
             sub = run_phase(self.state, qubit, rng=self.rng)
         else:
             raise ValueError(f"unknown correction {name!r}")
+        if self.own_steps is None:
+            self.own_steps = len(self.steps)
         self.state = sub.state
         self.steps.extend(sub.steps)
         self.corrections.extend(f"  {c}" for c in sub.corrections)
@@ -250,7 +256,7 @@ class _Executor:
 
     def finish(self, protocol: str) -> ProtocolRun:
         return ProtocolRun(protocol, self.steps, self.corrections,
-                           self.state, self.total_retries)
+                           self.state, self.total_retries, self.own_steps)
 
 
 def run_pauli_fix(
@@ -504,24 +510,6 @@ def enumerate_branches(
         branch_probabilities=probs,
         covered=True,   # every run above selected exactly one correction row
     )
-
-
-def verify_gate(
-    protocol: str,
-    inputs: list[FockState],
-    rng: np.random.Generator,
-    samples: int = 1,
-    correction_mode: str = "measured",
-) -> float:
-    """Max infidelity of sampled runs over the supplied inputs."""
-    target = GATE_TARGETS[protocol]
-    worst = 0.0
-    for state in inputs:
-        for _ in range(samples):
-            run = run_protocol(protocol, state, rng=rng,
-                               correction_mode=correction_mode)
-            worst = max(worst, 1.0 - logical_fidelity(state, run, target))
-    return worst
 
 
 def random_logical_inputs(

@@ -30,15 +30,14 @@ from scipy.special import jv
 
 from cornerlab import majorana as mj
 from cornerlab.majorana import FockState, MajoranaString, g, string
+from cornerlab.lattice import TWO_PI
 from cornerlab.perturbation import (
-    FourLeadAmplitude,
     FourLeadParams,
     TwoLeadParams,
     four_lead_effective,
     lead_effective_coupling,
 )
 
-TWO_PI = 2.0 * np.pi
 SIMPSON_POINTS = 256
 
 

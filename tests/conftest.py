@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cornerlab import floquet, lattice
+
+# The CLI tests run `python -m cornerlab.cli` in child processes, which see
+# PYTHONPATH but not the `pythonpath` setting in pyproject.toml.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -52,6 +52,16 @@ def test_config_validation(tmp_path):
     res = run_cli("spectrum", "--config", path2, "--out", str(tmp_path / "o"))
     assert res.returncode == 2
 
+    # keys that nothing reads are rejected
+    for section, key in (("readout", "seed"), ("readout", "samples"),
+                         ("ptcheck", "seed")):
+        unread = {section: {key: 1}}
+        res = run_cli("readout", "--config",
+                      write(tmp_path, "unread.json", unread),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert f"unknown key {section}.{key!r}" in res.stderr
+
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     res = run_cli("spectrum", "--config", str(broken), "--out", str(tmp_path / "o"))
@@ -144,6 +154,16 @@ def test_reproducibility_byte_identical(tmp_path):
         outs.append((out / "protocol_log.json").read_bytes())
     assert outs[0] == outs[1]
 
+    # --seed N on a seedless config is the config with "seed": N
+    seedless = {"protocol": {k: v for k, v in cfg["protocol"].items()
+                             if k != "seed"}}
+    out = tmp_path / "c"
+    res = run_cli("protocol", "--config", write(tmp_path, "s.json", seedless),
+                  "--out", str(out), "--seed", "9")
+    assert res.returncode == 0
+    for name in ("protocol_log.json", "protocol_report.json"):
+        assert (out / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
 
 def test_load_config_round_trip(tmp_path):
     path = write(tmp_path, "cfg.json", KITAEV)
@@ -170,7 +190,7 @@ def test_ptcheck_outputs(tmp_path):
     assert res.returncode == 0
     report = json.loads((out / "ptcheck_report.json").read_text())
     assert abs(report["two_lead_slope"] - 3.0) < 0.3
-    assert not report["ab_coefficients_minimize_residual"]
+    assert "ab_coefficients_minimize_residual" not in report
     lines = (out / "ptcheck_residuals.csv").read_text().splitlines()
     assert lines[0] == "order,residual"
     assert "slope" in res.stdout

@@ -46,6 +46,9 @@ def test_static_replica_structure():
     full = np.sort(np.linalg.eigvalsh(sm.matrix))
     expect = np.sort(np.concatenate([base + n * W for n in range(-2, 3)]))
     assert np.abs(full - expect).max() < 1e-10
+    # a static operator needs no replicas: M = 0 is h^(0) itself
+    static = DrivenBdG({0: h0}, W)
+    assert np.array_equal(assemble_sambe(static, 0).matrix, h0)
 
 
 def test_static_kitaev_zero_modes():

@@ -79,6 +79,12 @@ def test_random_driven_problem_second_order_slope():
     v1 -= np.diag(np.diag(v1))
     v2 = 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     v = {0: v1, 1: v2, -1: v2.conj().T}
+    # the Sambe lift of V: block (n, n') = v^(n - n'), no n*omega diagonal
+    prob = PerturbationProblem(h0=h0, v=v, omega=W, m_cutoff=2)
+    lift = sum(np.kron(np.eye(5, k=-m), vm) for m, vm in v.items())
+    basis = prob.basis
+    assert np.allclose(prob.v_matrix, basis.conj().T @ lift @ basis,
+                       rtol=0, atol=1e-12)
     errs, lams = [], np.geomspace(0.01, 0.1, 6)
     for lam in lams:
         prob = PerturbationProblem(h0=h0, v=v, omega=W, m_cutoff=2, lam=lam)
@@ -89,6 +95,21 @@ def test_random_driven_problem_second_order_slope():
         errs.append(np.abs(exact - pred).min())
     slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.2)
+
+
+def test_problem_rejects_bad_harmonics():
+    d = 3
+    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    a = np.triu(np.ones((d, d), dtype=complex), 1)
+    driven = {0: h, 1: a, -1: a.conj().T}
+    with pytest.raises(ValueError, match="adjoint"):
+        PerturbationProblem(h0={0: h, 1: a, -1: a}, v={0: h}, omega=W,
+                            m_cutoff=2)
+    with pytest.raises(ValueError, match="adjoint"):
+        PerturbationProblem(h0={0: h}, v={0: a}, omega=W, m_cutoff=0)
+    for h0, v in ((driven, {0: h}), ({0: h}, driven)):
+        with pytest.raises(ValueError, match="cutoff"):
+            PerturbationProblem(h0=h0, v=v, omega=W, m_cutoff=0)
 
 
 def test_effective_matches_corrections_without_internal_structure():

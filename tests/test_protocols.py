@@ -101,10 +101,14 @@ def test_wrong_resource_state_fails_honestly(rng):
     assert worst < 1 - 1e-3
 
 
-@pytest.mark.parametrize("pid", PROTOCOL_IDS)
-def test_enumerate_all_protocols(pid, rng):
+@pytest.mark.parametrize("pid, correction_mode", [
+    *[pytest.param(pid, "classical", id=pid) for pid in PROTOCOL_IDS],
+    *[pytest.param(pid, "measured", id=f"{pid}-measured") for pid in PROTOCOL_IDS],
+])
+def test_enumerate_all_protocols(pid, correction_mode, rng):
     inputs = random_logical_inputs(3, rng, ancilla=ANCILLAS[pid])
-    rep = enumerate_branches(pid, inputs)
+    rep = enumerate_branches(pid, inputs, correction_mode=correction_mode,
+                             rng=rng)
     assert rep.min_fidelity >= 1 - 1e-12
     assert rep.covered
     total_prob = sum(rep.branch_probabilities.values()) / len(inputs)
