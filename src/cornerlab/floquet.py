@@ -2,14 +2,15 @@
 
 The extended-space (Sambe) matrix has blocks
     [H]_{nm} = h^(n-m) + n * omega * delta_{nm} * 1,
-n, m = -M..M.  Diagonalizing it gives each physical quasienergy once per
-replica shift by omega; physical representatives are selected by dominant
-harmonic weight (argmax over n, ties broken towards small |n|), which keeps
-exactly `blockdim` states.
+n, m = -M..M.  Its spectrum repeats each physical quasienergy once per
+replica shift by omega, so one representative of every state is the
+eigenvalue in the central zone (-omega/2, omega/2].  Only that slice is
+solved for; a zone holding any count other than `blockdim` means the
+cutoff is too small, and the solve fails loudly.
 
-Species windows: a mode is `zero` if its folded quasienergy lies within
-tol_zero of 0, and `pi` if it lies within tol_pi of +-omega/2 on the
-quasienergy circle.  Pi modes are re-represented at the +omega/2 boundary
+Species windows: a mode is `zero` if its quasienergy lies within tol_zero
+of 0, and `pi` if it lies within tol_pi of +-omega/2 on the quasienergy
+circle.  Pi modes are re-represented at the +omega/2 boundary
 (replica-shifting their harmonics by round((omega/2 - eps_raw)/omega)),
 which aligns all members of a pi cluster to a common harmonic ladder; this
 alignment is what makes the corner-basis rotation meaningful.
@@ -122,14 +123,6 @@ def circular_distance(eps, target, omega):
     return np.abs(d - omega * np.round(d / omega))
 
 
-def _dominant_harmonic(weights: np.ndarray, M: int) -> int:
-    """argmax over harmonics; near-ties (within 1e-12) resolved to small |n|."""
-    top = weights.max()
-    cand = np.nonzero(weights >= top - 1e-12)[0]
-    best = min(cand, key=lambda i: (abs(i - M), i - M))
-    return int(best - M)
-
-
 def _shift_components(comp: np.ndarray, k: int) -> np.ndarray:
     """Replica shift by k: new^(n) = old^(n-k); the weight truncated at the
     cutoff (at most the outermost harmonic's) is restored by renormalizing."""
@@ -148,12 +141,19 @@ def quasienergy_spectrum(
     tol_zero: float | None = None,
     tol_pi: float | None = None,
 ) -> SpectrumResult:
-    """Diagonalize, fold, deduplicate replicas, and package Majorana modes.
+    """Solve the central Floquet zone and package the Majorana modes.
 
-    Mode tolerances default to 1e-3 * omega.  Eigenvectors are kept only
-    for states inside the zero/pi windows; pi modes are aligned to the
-    +omega/2 representative via their raw (unfolded) eigenvalue.
+    One subset eigensolve returns the Sambe eigenpairs in (-omega/2,
+    omega/2], the same half-open zone `fold` maps to: these are the
+    folded quasienergies, one per physical state.  Raises RuntimeError
+    unless the zone holds exactly `blockdim` states.  Mode tolerances
+    default to 1e-3 * omega.  Eigenvectors are kept only for states inside
+    the zero/pi windows; pi modes near -omega/2 are shifted to the +omega/2
+    representative.
     """
+    # scipy.linalg costs ~0.1 s to import; only Sambe solves should pay it
+    import scipy.linalg
+
     w = sambe.omega
     if tol_zero is None:
         tol_zero = 1e-3 * w
@@ -161,38 +161,34 @@ def quasienergy_spectrum(
         tol_pi = 1e-3 * w
     M, d = sambe.m_cutoff, sambe.blockdim
     try:
-        evals, evecs = np.linalg.eigh(sambe.matrix)
+        evals, evecs = scipy.linalg.eigh(
+            sambe.matrix, subset_by_value=(-w / 2, w / 2), driver="evr")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Sambe eigensolver failed: {exc}") from exc
+    if evals.size != d:
+        raise RuntimeError(
+            f"central Floquet zone holds {evals.size} states, not blockdim "
+            f"= {d}, at cutoff M = {M}: raise the cutoff")
 
-    folded = []
     modes = []
-    for i in range(evals.size):
-        comp = evecs[:, i].reshape(2 * M + 1, d)
-        wts = (np.abs(comp) ** 2).sum(axis=1)
-        if _dominant_harmonic(wts, M) != 0:
-            continue
-        raw = float(evals[i])
-        eps = float(fold(raw, w))
-        folded.append(eps)
+    for i, eps in enumerate(evals):
         if abs(eps) <= tol_zero:
-            k = int(round((0.0 - raw) / w))
-            modes.append(FloquetMode(raw + k * w, _shift_components(comp, k),
-                                     "zero", w))
+            species, k = "zero", 0
         elif circular_distance(eps, w / 2, w) <= tol_pi:
-            k = int(round((w / 2 - raw) / w))
-            modes.append(FloquetMode(raw + k * w, _shift_components(comp, k),
-                                     "pi", w))
+            species, k = "pi", int(round((w / 2 - eps) / w))
+        else:
+            continue
+        comp = _shift_components(evecs[:, i].reshape(2 * M + 1, d), k)
+        modes.append(FloquetMode(float(eps) + k * w, comp, species, w))
 
-    folded = np.sort(np.array(folded))
-    zero_d = np.sort(np.abs(folded))
-    pi_d = np.sort(circular_distance(folded, w / 2, w))
+    zero_d = np.sort(np.abs(evals))
+    pi_d = np.sort(circular_distance(evals, w / 2, w))
     n0 = sum(1 for m in modes if m.species == "zero")
     npi = len(modes) - n0
-    gap0 = float(zero_d[n0]) if n0 < folded.size else np.inf
-    gappi = float(pi_d[npi]) if npi < folded.size else np.inf
+    gap0 = float(zero_d[n0]) if n0 < d else np.inf
+    gappi = float(pi_d[npi]) if npi < d else np.inf
     return SpectrumResult(
-        quasienergies=folded,
+        quasienergies=evals,
         modes=modes,
         gaps=(gap0, gappi),
         omega=w,
@@ -325,8 +321,8 @@ def _window_eigs(evals: np.ndarray, omega: float, count: int) -> np.ndarray:
 
 def convergence_check(bdg: DrivenBdG, M: int, count: int = 16) -> float:
     """Max shift of the `count` physical quasienergies nearest 0 and
-    omega/2 between cutoffs M-1 and M (replica-deduplicated, matched by
-    sorted order within each window)."""
+    omega/2 between cutoffs M-1 and M (central-zone quasienergies, matched
+    by sorted order within each window)."""
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
     a = quasienergy_spectrum(assemble_sambe(bdg, M - 1)).quasienergies

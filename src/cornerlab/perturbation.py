@@ -695,19 +695,21 @@ def quadratic_from_bdg(h: np.ndarray) -> np.ndarray:
 
 def zero_mode_seeds(a0: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Orthonormal near-kernel vectors of A0 (columns); the seeds of the
-    zero-mode expansion.  Raises if none exist, reporting the kernel size."""
+    zero-mode expansion.  Raises if none exist, reporting the kernel size.
+    Every seed v has |A0 v| <= tol * max(||A0||_2, 1), the bound that
+    `majorana_mode_expansion` checks."""
     w, v = np.linalg.eigh(1j * a0)
-    keep = np.abs(w) <= tol * max(np.abs(w).max(), 1.0)
+    bound = tol * max(np.abs(w).max(), 1.0)      # max |w| = ||A0||_2
+    keep = np.abs(w) <= bound
     if not keep.any():
         raise ValueError(
             f"h0 has no (near-)kernel at tolerance {tol}: kernel dimension 0"
         )
-    # realify: the +e/-e near-zero pairs combine to real vectors
+    # realify: A0 is real, so the kept space is closed under conjugation and
+    # the leading left singular vectors of its real and imaginary parts span it
     cols = v[:, keep]
-    q, _ = np.linalg.qr(np.hstack([cols.real, cols.imag]))
-    ranks = [c for c in range(q.shape[1])
-             if np.linalg.norm(a0 @ q[:, c]) <= 10 * tol * max(np.abs(w).max(), 1.0)]
-    out = q[:, ranks[:keep.sum()]]
+    u = np.linalg.svd(np.hstack([cols.real, cols.imag]))[0][:, :keep.sum()]
+    out = u[:, np.linalg.norm(a0 @ u, axis=0) <= bound]
     if out.shape[1] == 0:
         raise ValueError("failed to realify the kernel basis")
     return out

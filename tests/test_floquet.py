@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,86 @@ def test_dedup_keeps_blockdim_states(rng):
     bdg = driven_toy(rng)
     spec = quasienergy_spectrum(assemble_sambe(bdg, 5))
     assert spec.quasienergies.size == bdg.dim
+
+
+def _dense_oracle_problem(name, rng):
+    """(Sambe matrix, is BdG) for the dense-oracle comparison."""
+    if name == "chain":
+        return assemble_sambe(kitaev_chain_bdg(6, 1.3, 0.9, 0.7, 1.1), 5), True
+    if name == "lattice":
+        bdg = lattice.build_realspace_bdg(fig_s1_params(Nx=2, Ny=2))
+        return assemble_sambe(bdg, 4), True
+    return assemble_sambe(driven_toy(rng), 5), False
+
+
+@pytest.mark.parametrize("name", ["chain", "lattice", "toy"])
+def test_central_zone_matches_dense_oracle(name, rng, monkeypatch):
+    sm, is_bdg = _dense_oracle_problem(name, rng)
+    # record each raw eigenvector before its replica shift
+    raw = {}
+    shift = floquet._shift_components
+
+    def recording_shift(comp, k):
+        out = shift(comp, k)
+        raw[id(out)] = (comp.copy(), k)
+        return out
+
+    monkeypatch.setattr(floquet, "_shift_components", recording_shift)
+    # windows of W/4 make every state a zero or pi mode
+    spec = quasienergy_spectrum(sm, tol_zero=W / 4, tol_pi=W / 4)
+    eps = spec.quasienergies
+
+    dense = np.linalg.eigvalsh(sm.matrix)
+    zone = np.sort(dense[(dense > -W / 2) & (dense <= W / 2)])
+    assert eps.size == zone.size == sm.blockdim
+    assert np.abs(eps - zone).max() <= 1e-10
+
+    assert len(spec.modes) == sm.blockdim
+    h_norm = np.linalg.norm(sm.matrix, 2)
+    for mode in spec.modes:
+        comp, k = raw[id(mode.components)]
+        v = comp.ravel()
+        lam = mode.quasienergy - k * W
+        assert np.linalg.norm(sm.matrix @ v - lam * v) <= 1e-9 * h_norm
+        assert circular_distance(eps, mode.quasienergy, W).min() <= 1e-12
+    if is_bdg:
+        assert np.abs(eps - np.sort(fold(-eps, W))).max() <= 1e-12
+
+
+def test_zone_count_mismatch_raises():
+    # three of six eigenvalues lie in (-W/2, W/2], one more than blockdim
+    diag = np.array([-4.0, -0.5, 0.1, 0.2, 4.0, 5.0])
+    sm = floquet.SambeMatrix(m_cutoff=1, blockdim=2, omega=W,
+                             matrix=np.diag(diag).astype(complex))
+    with pytest.raises(RuntimeError, match="holds 3 states.*raise the cutoff"):
+        quasienergy_spectrum(sm)
+
+
+def test_cutoff_3_counts_on_seeded_lattices():
+    # At M = 3 a pi mode splits its weight about evenly between two
+    # harmonics, so which replica carries the most weight at n = 0 is
+    # decided by truncation error; on these seeds the central zone must
+    # still hold every state once.
+    base = fig_s1_params(Nx=5, Ny=5)
+    names = ("Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
+             "mu0", "dmu0", "mu1", "dmu1")
+    for key in ([507, 6], [605, 0]):
+        draw = np.random.default_rng(key)
+        vals = {n: getattr(base, n) * (1.0 + 0.05 * draw.uniform(-1, 1))
+                for n in names}
+        p = lattice.LatticeParams(Nx=5, Ny=5, **vals)
+        spec = quasienergy_spectrum(
+            assemble_sambe(lattice.build_realspace_bdg(p), 3),
+            tol_zero=2e-2, tol_pi=2e-2)
+        assert spec.counts() == {"zero": 4, "pi": 4}
+        assert spec.quasienergies.size == 200
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg adds ~0.1 s to the import; only a Sambe solve loads it,
+    # so commands and studies that never solve one do not pay for it
+    code = "import sys, cornerlab; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_particle_hole_pairing_of_spectrum():

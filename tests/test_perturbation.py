@@ -315,6 +315,24 @@ def test_zero_seed_requires_kernel():
                                 np.ones(12) / np.sqrt(12), "zero", 1)
 
 
+def test_zero_mode_seeds_accepted_by_expansion():
+    # with J and Delta drawn apart, the kernel vectors of i A0 can have a
+    # near-zero real or imaginary part; every returned seed must still pass
+    # the expansion's own commutation check at the same tolerance
+    draw = np.random.default_rng(26)
+    J, Delta = 0.3 * (1.0 + 0.05 * draw.uniform(-1, 1, 2))
+    bdg = kitaev_chain_bdg(40, J=J, Delta=Delta, mu0=0.05, mu1=0.4, omega=W)
+    a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
+    a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
+    seeds = zero_mode_seeds(a0, 1e-6)
+    assert seeds.shape[1] == 2
+    assert np.abs(seeds.T @ seeds - np.eye(2)).max() < 1e-12
+    for c in range(seeds.shape[1]):
+        exp = majorana_mode_expansion(a0, a1, seeds[:, c], "zero", order=2,
+                                      omega=W, seed_tol=1e-6)
+        assert exp.residual_history[-1] < exp.residual_history[0]
+
+
 def test_zero_mode_residual_decay_and_rate():
     bdg = kitaev_chain_bdg(40, J=0.3, Delta=0.3, mu0=0.05, mu1=0.4, omega=W)
     a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
