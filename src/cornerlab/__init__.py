@@ -7,24 +7,4 @@ Units: hbar = 1, driving period T = 1, so omega = 2*pi and all couplings
 are dimensionless (energies in hbar/T).
 """
 
-from cornerlab import (
-    cli,
-    floquet,
-    lattice,
-    majorana,
-    perturbation,
-    protocols,
-    readout,
-)
-
-__all__ = [
-    "cli",
-    "floquet",
-    "lattice",
-    "majorana",
-    "perturbation",
-    "protocols",
-    "readout",
-]
-
 __version__ = "0.1.0"

@@ -127,16 +127,10 @@ def cmd_spectrum(cfg: dict, out: Path, fmt: str) -> int:
         "zero": sorted(m.quasienergy for m in spec.modes_of("zero")),
         "pi": sorted(m.quasienergy for m in spec.modes_of("pi")),
     }
-
-    def species_of(e: float) -> str:
-        if abs(e) <= spec.tol_zero:
-            return "zero"
-        if floquet.circular_distance(e, spec.omega / 2, spec.omega) <= spec.tol_pi:
-            return "pi"
-        return "bulk"
-
     for i, e in enumerate(spec.quasienergies):
-        rows.append([i, float(e), species_of(float(e))])
+        species = floquet.species_of(float(e), spec.omega,
+                                     spec.tol_zero, spec.tol_pi)
+        rows.append([i, float(e), species])
     write_rows(out / "spectrum", ["index", "quasienergy", "species"], rows, fmt)
     write_json(out / "summary.json", {
         "counts": spec.counts(),

@@ -123,6 +123,16 @@ def circular_distance(eps, target, omega):
     return np.abs(d - omega * np.round(d / omega))
 
 
+def species_of(eps: float, omega: float, tol_zero: float, tol_pi: float) -> str:
+    """'zero' within tol_zero of 0, else 'pi' within tol_pi of +-omega/2 on
+    the quasienergy circle, else 'bulk'."""
+    if abs(eps) <= tol_zero:
+        return "zero"
+    if circular_distance(eps, omega / 2, omega) <= tol_pi:
+        return "pi"
+    return "bulk"
+
+
 def _shift_components(comp: np.ndarray, k: int) -> np.ndarray:
     """Replica shift by k: new^(n) = old^(n-k); the weight truncated at the
     cutoff (at most the outermost harmonic's) is restored by renormalizing."""
@@ -172,12 +182,10 @@ def quasienergy_spectrum(
 
     modes = []
     for i, eps in enumerate(evals):
-        if abs(eps) <= tol_zero:
-            species, k = "zero", 0
-        elif circular_distance(eps, w / 2, w) <= tol_pi:
-            species, k = "pi", int(round((w / 2 - eps) / w))
-        else:
+        species = species_of(eps, w, tol_zero, tol_pi)
+        if species == "bulk":
             continue
+        k = int(round((w / 2 - eps) / w)) if species == "pi" else 0
         comp = _shift_components(evecs[:, i].reshape(2 * M + 1, d), k)
         modes.append(FloquetMode(float(eps) + k * w, comp, species, w))
 
@@ -209,14 +217,8 @@ def find_majorana_modes(
     tpi = spec.tol_pi if tol_pi is None else tol_pi
     if t0 > spec.tol_zero or tpi > spec.tol_pi:
         raise ValueError("cannot widen tolerances beyond the captured windows")
-    out = []
-    for m in spec.modes:
-        if m.species == "zero" and abs(m.quasienergy) <= t0:
-            out.append(m)
-        elif m.species == "pi" and circular_distance(
-                m.quasienergy, spec.omega / 2, spec.omega) <= tpi:
-            out.append(m)
-    return out
+    return [m for m in spec.modes
+            if species_of(m.quasienergy, spec.omega, t0, tpi) == m.species]
 
 
 def _site_probability(mode: FloquetMode) -> np.ndarray:
@@ -319,15 +321,15 @@ def _window_eigs(evals: np.ndarray, omega: float, count: int) -> np.ndarray:
     return np.concatenate([near0, nearpi])
 
 
-def convergence_check(bdg: DrivenBdG, M: int, count: int = 16) -> float:
-    """Max shift of the `count` physical quasienergies nearest 0 and
-    omega/2 between cutoffs M-1 and M (central-zone quasienergies, matched
-    by sorted order within each window)."""
+def convergence_check(bdg: DrivenBdG, M: int) -> float:
+    """Max shift of the 16 physical quasienergies nearest 0 and omega/2
+    (or all, if fewer) between cutoffs M-1 and M (central-zone
+    quasienergies, matched by sorted order within each window)."""
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
     a = quasienergy_spectrum(assemble_sambe(bdg, M - 1)).quasienergies
     b = quasienergy_spectrum(assemble_sambe(bdg, M)).quasienergies
-    n = min(count, a.size)
+    n = min(16, a.size)
     wa = _window_eigs(a, bdg.omega, n)
     wb = _window_eigs(b, bdg.omega, n)
     return float(np.abs(wa - wb).max())

@@ -23,7 +23,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -104,6 +104,7 @@ def fig_s1_params(Nx: int = 8, Ny: int = 8, boundary: str = "open") -> LatticePa
         Jx=np.pi / 2 + 0.3, Jy=0.15, dJ=0.05,
         Dx=np.pi / 2 - 0.2, Dy=0.55, dDy=0.45,
         mu0=np.pi / 2 + 0.12, dmu0=0.02, mu1=4.0, dmu1=0.0,
+        boundary=boundary,
     )
 
 
@@ -115,8 +116,7 @@ class DrivenBdG:
     construction.  Matrices are frozen (non-writeable views).
     """
 
-    def __init__(self, harmonics: dict[int, np.ndarray], omega: float,
-                 check: bool = True):
+    def __init__(self, harmonics: dict[int, np.ndarray], omega: float):
         if not harmonics:
             raise ValueError("need at least one harmonic")
         dims = {h.shape for h in harmonics.values()}
@@ -129,13 +129,12 @@ class DrivenBdG:
             arr = np.array(mat, dtype=complex)
             arr.setflags(write=False)
             self._h[int(m)] = arr
-        if check:
-            for m in self._h:
-                partner = self._h.get(-m)
-                if partner is None:
-                    raise ValueError(f"harmonic {-m} missing for harmonic {m}")
-                if not np.allclose(self._h[m].conj().T, partner, atol=1e-12):
-                    raise ValueError(f"harmonics {m}/{-m} are not mutually adjoint")
+        for m in self._h:
+            partner = self._h.get(-m)
+            if partner is None:
+                raise ValueError(f"harmonic {-m} missing for harmonic {m}")
+            if not np.allclose(self._h[m].conj().T, partner, atol=1e-12):
+                raise ValueError(f"harmonics {m}/{-m} are not mutually adjoint")
 
     @property
     def harmonics(self) -> dict[int, np.ndarray]:
@@ -319,7 +318,6 @@ def check_symmetry(
     params: LatticeParams,
     sym: SymmetryOp,
     kgrid: Iterable[tuple[float, float]] | None = None,
-    builder: Callable[[LatticeParams, float, float], DrivenBdG] = build_momentum_bdg,
 ) -> float:
     """Max residual of the symmetry relation over the k-grid and harmonics.
 
@@ -335,8 +333,8 @@ def check_symmetry(
     u = sym.matrix
     worst = 0.0
     for kx, ky in kgrid:
-        bdg_k = builder(params, kx, ky)
-        target = builder(params, -kx, -ky) if sym.flips_k else bdg_k
+        bdg_k = build_momentum_bdg(params, kx, ky)
+        target = build_momentum_bdg(params, -kx, -ky) if sym.flips_k else bdg_k
         ms = sorted(set(bdg_k.harmonics) | set(target.harmonics))
         for m in ms:
             if sym.antiunitary:

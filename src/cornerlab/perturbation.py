@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from cornerlab import fock
-from cornerlab.floquet import assemble_sambe, fold
+from cornerlab.floquet import assemble_sambe
 from cornerlab.lattice import TWO_PI, DrivenBdG
 
 
@@ -89,6 +89,10 @@ class PerturbationProblem:
         return np.linalg.eigvalsh(self._h0_sambe + self.lam * self._v_sambe)
 
 
+# unperturbed Sambe levels closer than this to the cluster center belong to it
+DEGENERACY_TOL = 1e-8
+
+
 @dataclass
 class CorrectionResult:
     eps0: np.ndarray           # unperturbed quasienergies of the cluster
@@ -102,8 +106,6 @@ def quasienergy_corrections(
     problem: PerturbationProblem,
     cluster: np.ndarray,
     order: int = 2,
-    degeneracy_tol: float = 1e-8,
-    diag_tol: float = 1e-10,
 ) -> CorrectionResult:
     """Quasienergy corrections per the time-averaged perturbation series.
 
@@ -113,7 +115,7 @@ def quasienergy_corrections(
     carry no first-order structure: <j|V|j'> must vanish within the cluster
     after the pre-rotation that diagonalizes the second-order block (the
     closed-form phase choices of the degenerate bases become this
-    rotation numerically).
+    rotation numerically); elements above 1e-10 of max |V| raise.
     """
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
@@ -121,12 +123,12 @@ def quasienergy_corrections(
     eps = problem.eps0
     V = problem.v_matrix
     center = float(eps[cluster].mean())
-    outside = np.nonzero(np.abs(eps - center) > degeneracy_tol)[0]
+    outside = np.nonzero(np.abs(eps - center) > DEGENERACY_TOL)[0]
 
     vblock = V[np.ix_(cluster, cluster)]
     scale = max(np.abs(V).max(), 1e-300)
     worst = np.abs(vblock).max()
-    if worst > diag_tol * scale:
+    if worst > 1e-10 * scale:
         a, b = np.unravel_index(np.abs(vblock).argmax(), vblock.shape)
         raise ValueError(
             "cluster carries first-order matrix elements: "
@@ -167,7 +169,6 @@ def effective_hamiltonian(
     problem: PerturbationProblem,
     cluster: np.ndarray,
     order: int = 2,
-    degeneracy_tol: float = 1e-8,
 ) -> np.ndarray:
     """Hermitian quasi-degenerate effective block on the cluster (Van Vleck).
 
@@ -183,9 +184,9 @@ def effective_hamiltonian(
     eps = problem.eps0
     V = problem.v_matrix
     center = float(eps[cluster].mean())
-    if np.abs(eps[cluster] - center).max() > degeneracy_tol:
-        raise ValueError("cluster is not degenerate within degeneracy_tol")
-    outside = np.nonzero(np.abs(eps - center) > degeneracy_tol)[0]
+    if np.abs(eps[cluster] - center).max() > DEGENERACY_TOL:
+        raise ValueError(f"cluster is not degenerate within {DEGENERACY_TOL:g}")
+    outside = np.nonzero(np.abs(eps - center) > DEGENERACY_TOL)[0]
     lam = problem.lam
 
     pvp = V[np.ix_(cluster, cluster)]
@@ -308,58 +309,29 @@ def _register_ops(eps_plus: float, eps_minus: float) -> tuple[np.ndarray, np.nda
 
 @dataclass
 class ToyModel:
-    """Exact lead-Majorana Fock model: harmonics on the omega/2 grid plus
-    the operators needed to classify its eigenstates."""
+    """Exact lead-Majorana Fock model, static by construction: its one
+    Hamiltonian is `harmonics[0]` (the only key allowed), and the charge
+    and named parity operators classify its eigenstates."""
 
     harmonics: dict[int, np.ndarray]
-    omega: float                       # the physical drive frequency
     charge_op: np.ndarray              # conserved n_leads + N_register
     parity_ops: dict[str, np.ndarray]  # named parity operators
-    dim: int
 
-    def is_static(self) -> bool:
-        return set(self.harmonics) <= {0}
+    def __post_init__(self):
+        if set(self.harmonics) != {0}:
+            raise ValueError(f"toy models are static: harmonics "
+                             f"{sorted(self.harmonics)} given, only 0 allowed")
 
     def exact_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(quasienergies, eigenvectors at t = 0).
-
-        Static models are diagonalized directly.  Driven models go through
-        the one-period propagator U(2T) (the couplings live on the omega/2
-        grid, so the full period is 2T): quasienergies are its eigenphases,
-        defined modulo omega/2 — each physical state appears exactly once,
-        with no Sambe replica bookkeeping and no harmonic truncation.
-        """
-        if self.is_static():
-            return np.linalg.eigh(self.harmonics[0])
-        from scipy.integrate import solve_ivp
-
-        base = self.omega / 2
-        period = TWO_PI / base
-        d = self.dim
-        hs = sorted(self.harmonics.items())
-
-        def rhs(t, y):
-            u = y.reshape(d, d)
-            h = sum(mat * np.exp(1j * nu * base * t) for nu, mat in hs)
-            return (-1j * (h @ u)).reshape(-1)
-
-        sol = solve_ivp(rhs, (0.0, period), np.eye(d, dtype=complex).reshape(-1),
-                        method="DOP853", rtol=1e-11, atol=1e-12)
-        u = sol.y[:, -1].reshape(d, d)
-        # Schur of a unitary matrix: orthonormal eigenbasis even at
-        # degeneracies (np.linalg.eig would not guarantee that)
-        from scipy.linalg import schur
-
-        tmat, vecs = schur(u, output="complex")
-        eps = -np.angle(np.diag(tmat)) / period
-        order = np.argsort(eps)
-        return eps[order], vecs[:, order]
+        """(energies ascending, eigenvectors as columns) of the Hamiltonian."""
+        return np.linalg.eigh(self.harmonics[0])
 
 
 def two_lead_toy(params: TwoLeadParams, scale: float = 1.0) -> ToyModel:
     """Exact Fock model of two leads + one MZM pair + one MPM pair + the
     3-state particle-number register.  `scale` multiplies every coupling
-    (lambda-bars and the direct link) for scaling studies."""
+    (lambda-bars and the direct link) for scaling studies.  The model is
+    static: a coupling at an omega/2 harmonic other than 0 raises."""
     n_modes = 4                      # lead_i, lead_j, f_zero, f_pi
     dim_f = 2**n_modes
     cs = fock.jw_annihilators(n_modes)
@@ -373,104 +345,68 @@ def two_lead_toy(params: TwoLeadParams, scale: float = 1.0) -> ToyModel:
     h_charge, lower = _register_ops(params.eps_plus, params.eps_minus)
     ident_r = np.eye(REGISTER_DIM)
 
-    def kron(f, r):
-        return np.kron(f, r)
-
     w = params.omega
-    static = (
-        kron(params.n_i * w / 2 * n_i + params.n_j * w / 2 * n_j
-             + (w / 2) * n_pi, ident_r)
-        + kron(np.eye(dim_f), h_charge)
+    H = (
+        np.kron(params.n_i * w / 2 * n_i + params.n_j * w / 2 * n_j
+                + (w / 2) * n_pi, ident_r)
+        + np.kron(np.eye(dim_f), h_charge)
     )
-    harmonics: dict[int, np.ndarray] = {0: static}
-
-    def add(nu: int, mat: np.ndarray):
-        harmonics[nu] = harmonics.get(nu, 0) + mat
-        harmonics[-nu] = harmonics.get(-nu, 0) + mat.conj().T
-
     gammas = {("0", "i"): g0i, ("0", "j"): g0j,
               ("pi", "i"): gpi, ("pi", "j"): gpj}
     leads = {"i": d_i, "j": d_j}
     for lead, coupling in (("i", params.coupling_i), ("j", params.coupling_j)):
         for (species, n), lam in coupling.items():
-            op = kron(leads[lead].conj().T @ gammas[(species, lead)], lower)
-            add(n, scale * lam * op)
+            if n != 0:
+                raise ValueError(
+                    f"toy model is static: coupling ({species!r}, {n}) of "
+                    f"lead {lead} sits at harmonic {n}")
+            term = scale * lam * np.kron(leads[lead].conj().T
+                                         @ gammas[(species, lead)], lower)
+            H = H + term + term.conj().T
 
     if params.direct != 0:
         if params.flux1 != 0:
             raise ValueError("toy oracle supports static flux only")
-        lam = scale * params.direct * np.exp(1j * params.flux0)
-        add(0, lam * kron(d_j.conj().T @ d_i, ident_r))
+        link = scale * params.direct * np.exp(1j * params.flux0) \
+            * np.kron(d_j.conj().T @ d_i, ident_r)
+        H = H + link + link.conj().T
 
-    harmonics = {k: np.asarray(v) for k, v in harmonics.items()
-                 if np.abs(np.asarray(v)).max() > 0 or k == 0}
-    charge = kron(n_i + n_j, ident_r) + kron(np.eye(dim_f),
-                                             np.diag([0.0, 1.0, 2.0]))
-    parity0 = kron(1j * g0i @ g0j, ident_r)
-    paritypi = kron(1j * gpi @ gpj, ident_r)
+    charge = np.kron(n_i + n_j, ident_r) + np.kron(np.eye(dim_f),
+                                                   np.diag([0.0, 1.0, 2.0]))
+    parity0 = np.kron(1j * g0i @ g0j, ident_r)
+    paritypi = np.kron(1j * gpi @ gpj, ident_r)
     return ToyModel(
-        harmonics=harmonics,
-        omega=w,
+        harmonics={0: H},
         charge_op=charge,
         parity_ops={"zero": parity0, "pi": paritypi},
-        dim=dim_f * REGISTER_DIM,
     )
 
 
-def _cluster_states(
-    toy: ToyModel,
-    charge_value: float,
-    window: float,
-    mediator: str,
-    spectator: str | None,
-    spectator_parity: float = -1.0,
-) -> list[tuple[float, float]]:
-    """(quasienergy, mediator-parity expectation) of exact eigenstates near
-    0 in the given conserved-charge sector.
+def _cluster_states(toy: ToyModel, window: float) -> list[tuple[float, np.ndarray]]:
+    """(energy, eigenvector) of the exact charge-2 states within `window`
+    of 0 whose pi-pair parity is -1, in ascending energy.
 
-    Near-degenerate groups are rotated to diagonalize the mediator parity,
-    so the classification stays sharp even at vanishing coupling."""
+    Near-degenerate groups are first rotated to the joint eigenbasis of
+    the (commuting) pi- and zero-pair parities, so every returned vector
+    has a sharp zero-pair parity even at vanishing coupling."""
     evals, evecs = toy.exact_levels()
-    picked = []
-    for k in range(evals.size):
-        e = float(evals[k]) if toy.is_static() else float(
-            fold(evals[k], toy.omega / 2))
-        if abs(e) > window:
-            continue
-        v = evecs[:, k]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-6:
-            continue
-        v = v / nrm
-        q = float(np.vdot(v, toy.charge_op @ v).real)
-        if abs(q - charge_value) > 1e-6:
-            continue
-        picked.append((e, v))
-    # within (near-)degenerate groups, rotate to the simultaneous eigenbasis
-    # of the (commuting) spectator and mediator parities, then filter
-    picked.sort(key=lambda ev: ev[0])
-    pmed = toy.parity_ops[mediator]
-    combo = pmed if spectator is None else 2 * toy.parity_ops[spectator] + pmed
-    pspec = None if spectator is None else toy.parity_ops[spectator]
+    charge = toy.charge_op
+    picked = [(float(e), evecs[:, k]) for k, e in enumerate(evals)
+              if abs(e) <= window
+              and abs(np.vdot(evecs[:, k], charge @ evecs[:, k]).real - 2) <= 1e-6]
+    p0, ppi = toy.parity_ops["zero"], toy.parity_ops["pi"]
     out = []
     i = 0
     while i < len(picked):
-        j = i
-        while j + 1 < len(picked) and picked[j + 1][0] - picked[i][0] < 1e-9:
+        j = i + 1
+        while j < len(picked) and picked[j][0] - picked[i][0] < 1e-9:
             j += 1
-        group = picked[i:j + 1]
-        basis = np.array([v for _, v in group]).T
-        block = basis.conj().T @ combo @ basis
-        _, rot = np.linalg.eigh((block + block.conj().T) / 2)
-        vecs = basis @ rot
-        for c in range(len(group)):
-            v = vecs[:, c]
-            if pspec is not None:
-                ps = float(np.vdot(v, pspec @ v).real)
-                if abs(ps - spectator_parity) > 1e-2:
-                    continue
-            out.append((group[0][0], float(np.vdot(v, pmed @ v).real)))
-        i = j + 1
+        basis = np.array([v for _, v in picked[i:j]]).T
+        block = basis.conj().T @ (2 * ppi + p0) @ basis
+        vecs = basis @ np.linalg.eigh((block + block.conj().T) / 2)[1]
+        out += [(picked[i][0], v) for v in vecs.T
+                if abs(np.vdot(v, ppi @ v).real + 1) <= 1e-2]
+        i = j
     return out
 
 
@@ -505,10 +441,8 @@ def verify_effective_model(
     parities of the mediating pair) is centered per parity sector to
     remove the common second-order self-energy; the prediction is
     +-|T * p + direct|.  Valid for configurations without a differential
-    second-order detuning (symmetric couplings or eps_+ = eps_-).  The
-    mediating species follows the lead energies (zero pair for 00, pi
-    pair for pipi); the mixed 0pi case has no two-state-per-parity cluster
-    and is not supported by this oracle.
+    second-order detuning (symmetric couplings or eps_+ = eps_-).  Scoped
+    to the 00 species pair, whose static toy the zero pair mediates.
     """
     pair, _ = lead_effective_coupling(params)
     if pair != "00":
@@ -516,16 +450,16 @@ def verify_effective_model(
         # bases; a lab-frame toy with static Majorana operators does not
         # reduce to them, so the oracle is scoped to the 00 pair
         raise NotImplementedError("toy oracle covers the 00 species pair")
-    mediator, spectator = "zero", "pi"
     toy = two_lead_toy(params, scale=scale)
     gap = min(abs(params.eps_plus), abs(params.eps_minus))
-    states = _cluster_states(toy, charge_value=2.0, window=0.45 * gap,
-                             mediator=mediator, spectator=spectator)
+    states = _cluster_states(toy, 0.45 * gap)
     if len(states) != 4:
         raise RuntimeError(f"expected 4 cluster states, found {len(states)}")
+    p0 = toy.parity_ops["zero"]
     worst = 0.0
     for parity in (+1, -1):
-        exact = sorted(e for e, pm in states if pm * parity > 0.5)
+        exact = sorted(e for e, v in states
+                       if np.vdot(v, p0 @ v).real * parity > 0.5)
         if len(exact) != 2:
             raise RuntimeError("could not classify cluster states by parity")
         exact = np.array(exact) - np.mean(exact)
@@ -541,28 +475,21 @@ def signed_splitting(params: TwoLeadParams, parity: int,
     """Exact toy-model splitting with a sign fixed by the lead eigenvector:
     positive when the (|i> + e^{i arg T}|j>)/sqrt(2) lead combination is the
     raised state of its parity sector.  Flipping the mediating parity flips
-    this sign exactly."""
+    this sign exactly.  Like `verify_effective_model`, scoped to the 00
+    species pair."""
+    pair, T = lead_effective_coupling(params)
+    if pair != "00":
+        raise NotImplementedError("toy oracle covers the 00 species pair")
     toy = two_lead_toy(params, scale=scale)
-    evals, evecs = toy.exact_levels()
     gap = min(abs(params.eps_plus), abs(params.eps_minus))
-    _, T = lead_effective_coupling(params)
-    t0 = T.get(0, 0.0)
+    t0 = T[0]
     phase = np.exp(1j * np.angle(t0)) if t0 != 0 else 1.0
-    di, dj = fock.jw_annihilators(4)[0], fock.jw_annihilators(4)[1]
+    di, dj = fock.jw_annihilators(4)[:2]
     hop = np.kron(dj.conj().T @ di, np.eye(REGISTER_DIM))
-    sector = []
-    for k in range(evals.size):
-        e = float(evals[k]) if toy.is_static() else float(fold(evals[k], toy.omega / 2))
-        if abs(e) > 0.45 * gap:
-            continue
-        v = evecs[:, k]
-        q = float(np.vdot(v, toy.charge_op @ v).real)
-        p0 = float(np.vdot(v, toy.parity_ops["zero"] @ v).real)
-        ppi = float(np.vdot(v, toy.parity_ops["pi"] @ v).real)
-        if abs(q - 2) > 1e-6 or abs(ppi + 1) > 1e-3 or p0 * parity < 0.5:
-            continue
-        sym_weight = float(np.real(np.conj(phase) * np.vdot(v, hop @ v)))
-        sector.append((e, sym_weight))
+    p0 = toy.parity_ops["zero"]
+    sector = [(e, float(np.real(np.conj(phase) * np.vdot(v, hop @ v))))
+              for e, v in _cluster_states(toy, 0.45 * gap)
+              if np.vdot(v, p0 @ v).real * parity > 0.5]
     if len(sector) != 2:
         raise RuntimeError(f"expected a 2-state sector, found {len(sector)}")
     center = (sector[0][0] + sector[1][0]) / 2
@@ -586,7 +513,6 @@ class FourLeadParams:
     link34: complex = 0.0
     flux12: float = 0.0
     flux43: float = 0.0
-    omega: float = TWO_PI
 
     def __post_init__(self):
         if set(self.couplings) != {1, 2, 3, 4}:
@@ -644,8 +570,7 @@ def four_lead_toy(params: FourLeadParams, scale: float = 1.0) -> ToyModel:
     h_charge, lower = _register_ops(params.eps_plus, params.eps_minus)
     ident_r = np.eye(REGISTER_DIM)
 
-    H = np.kron(np.zeros((dim_f, dim_f), dtype=complex), ident_r)
-    H += np.kron(np.eye(dim_f), h_charge)
+    H = np.kron(np.eye(dim_f), h_charge)
     for s in range(1, 5):
         term = scale * params.couplings[s] * (cs[s - 1].conj().T @ gam[s])
         coupling = np.kron(term, lower)
@@ -663,10 +588,8 @@ def four_lead_toy(params: FourLeadParams, scale: float = 1.0) -> ToyModel:
     parity34 = np.kron(1j * g03 @ g04, ident_r)
     return ToyModel(
         harmonics={0: H},
-        omega=params.omega,
         charge_op=charge,
         parity_ops={"p12": parity12, "p34": parity34},
-        dim=dim_f * REGISTER_DIM,
     )
 
 
@@ -816,7 +739,6 @@ def majorana_mode_expansion(
     omega: float = TWO_PI,
     seed_tol: float = 1e-6,
     first_order_pi_coeffs: tuple[float, float] | None = None,
-    resonant_cutoff: float = 0.1,
 ) -> ModeExpansion:
     """Order-by-order construction of a zero or pi Majorana operator.
 
@@ -883,13 +805,13 @@ def majorana_mode_expansion(
                 # operator is safely invertible.  In frequency sectors the
                 # h0 spectrum reaches (nu = -+1/2 for pi modes, nu = 0 for
                 # zero modes at gapless points) the solve is trimmed:
-                # singular directions below resonant_cutoff * omega are
+                # singular directions below 0.1 * omega are
                 # dropped, leaving the irreducible part of the residual.
                 op = 1j * a0 + nu(m) * omega * np.eye(n)
                 dists = np.abs(spec_a0 + nu(m) * omega)
                 # at nu = 0 only the (near-)kernel needs protecting; at
-                # band-resonant nu != 0 trim at the resonant_cutoff scale
-                sigma_min = 1e-6 * omega if nu(m) == 0 else resonant_cutoff * omega
+                # band-resonant nu != 0 trim at 0.1 * omega
+                sigma_min = 1e-6 * omega if nu(m) == 0 else 0.1 * omega
                 if dists.min() >= 2 * sigma_min:
                     delta = np.linalg.solve(op, -r)
                 else:

@@ -26,7 +26,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import jv
 
 from cornerlab import majorana as mj
 from cornerlab.majorana import FockState, MajoranaString, g, string
@@ -123,6 +122,9 @@ def two_lead_conductance(
     parity-even part g0 = avg|T|^2 + |lam|^2 and the interference term
     (linear in the parity).
     """
+    # scipy.special costs ~0.2 s to import; only conductances need it
+    from scipy.special import jv
+
     params = cfg.two_lead
     if params is None:
         raise ValueError("not a two-lead configuration")
@@ -297,17 +299,17 @@ def tune_fluxes(cfg: LeadConfig) -> tuple[float, float]:
 
 
 def classify_parity(
-    measured: float, calibration: tuple[float, float], min_margin: float = 1e-9
+    measured: float, calibration: tuple[float, float]
 ) -> tuple[int, float]:
     """Nearest-reference classification of a measured conductance.
 
     calibration = (G(parity=+1), G(parity=-1)).  Returns (parity, margin)
     with margin = (d_far - d_near)/2; raises when the classification is
-    ambiguous."""
+    ambiguous (margin below 1e-9)."""
     g_plus, g_minus = calibration
     d_plus, d_minus = abs(measured - g_plus), abs(measured - g_minus)
     margin = abs(d_plus - d_minus) / 2
-    if margin < min_margin:
+    if margin < 1e-9:
         raise ValueError(
             f"ambiguous conductance {measured!r}: margin {margin:.3e}")
     return (1 if d_plus < d_minus else -1), float(margin)
@@ -347,7 +349,7 @@ def config_for_parity(
             eps_plus=eps[0], eps_minus=eps[1],
             couplings={s: complex(lam[s]) for s in range(1, 5)},
             link12=direct, link34=direct,
-            flux12=flux0, flux43=flux0, omega=omega,
+            flux12=flux0, flux43=flux0,
         )
         return LeadConfig(
             leads=tuple(LeadId(s, "a", 0) for s in range(1, 5)),

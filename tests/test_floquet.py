@@ -25,7 +25,7 @@ def driven_toy(rng, d=6, scale=0.5):
     h0 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h0 = (h0 + h0.conj().T) / 2
     h1 = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, W, check=True)
+    return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, W)
 
 
 def test_assemble_validation():
@@ -140,10 +140,24 @@ def test_cutoff_3_counts_on_seeded_lattices():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg adds ~0.1 s to the import; only a Sambe solve loads it,
-    # so commands and studies that never solve one do not pay for it
-    code = "import sys, cornerlab; sys.exit('scipy.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    # scipy.linalg, scipy.special and scipy.integrate each add ~0.1 s to an
+    # import; only the calls that need them (a Sambe solve, a conductance)
+    # load them, so commands and studies that never make one do not pay
+    code = (
+        "import importlib, pkgutil, sys, cornerlab\n"
+        "names = [m.name for m in pkgutil.iter_modules(cornerlab.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('cornerlab.' + name)\n"
+        "heavy = ('scipy.linalg', 'scipy.special', 'scipy.integrate')\n"
+        "print(' '.join(names))\n"
+        "print(' '.join(m for m in heavy if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    names, loaded = out.stdout.split("\n")[:2]
+    assert {"cli", "floquet", "fock", "lattice", "majorana", "perturbation",
+            "protocols", "readout"} <= set(names.split())
+    assert loaded == ""
 
 
 def test_particle_hole_pairing_of_spectrum():

@@ -94,11 +94,15 @@ def test_momentum_sigma_x_coefficient_at_ky_pi():
     assert coeff == pytest.approx(p.Jy + p.dJ, abs=1e-12)
 
 
+def test_fig_s1_params_keeps_boundary():
+    for boundary in lattice.BOUNDARIES:
+        assert fig_s1_params(2, 2, boundary=boundary).boundary == boundary
+
+
 def test_realspace_momentum_consistency():
     # periodic 8x8 lattice: the static spectrum equals the union over the
     # Bloch grid, and likewise for the drive harmonic
-    p = fig_s1_params(Nx=2, Ny=2, boundary="open")
-    p = LatticeParams(**{**p.__dict__, "boundary": "periodic-both"})
+    p = fig_s1_params(Nx=2, Ny=2, boundary="periodic-both")
     bdg = build_realspace_bdg(p)
     for m in (0, 1):
         real = np.sort(np.linalg.eigvalsh(np.asarray(bdg.component(m))))

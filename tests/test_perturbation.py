@@ -225,6 +225,20 @@ def test_pipi_coupling_formula_and_toy_scope():
     assert T[-2] == pytest.approx(1j * 2 * 0.08 * 0.08, abs=1e-15)
     with pytest.raises(NotImplementedError):
         verify_effective_model(params)
+    with pytest.raises(NotImplementedError):
+        signed_splitting(params, +1)
+    # the toy is static: a coupling off harmonic 0 is named and rejected
+    with pytest.raises(ValueError, match=r"\('pi', -1\) of lead i"):
+        two_lead_toy(params)
+
+
+def test_toy_model_is_static():
+    toy = two_lead_toy(symmetric_params(0.1))
+    h = toy.harmonics[0]
+    x = np.eye(h.shape[0], k=1)
+    for harmonics in ({0: h, 1: x, -1: x.T}, {1: x, -1: x.T}):
+        with pytest.raises(ValueError, match="static"):
+            pb.ToyModel(harmonics, toy.charge_op, toy.parity_ops)
 
 
 # --- four leads --------------------------------------------------------------
