@@ -17,9 +17,7 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
     for pid in protocols.PROTOCOL_IDS:
-        ancilla = "magic" if pid.startswith("tgate") else "z+"
-        inputs = protocols.random_logical_inputs(args.inputs, rng,
-                                                 ancilla=ancilla)
+        inputs = protocols.random_logical_inputs(pid, args.inputs, rng)
         rep = protocols.enumerate_branches(pid, inputs)
         print(f"{pid:10s} branches {rep.n_branches:3d} "
               f"min fidelity {rep.min_fidelity:.15f}")

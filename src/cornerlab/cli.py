@@ -106,10 +106,18 @@ def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
+def _count(sec: dict, section: str, key: str, default: int) -> int:
+    """An integer config value that must be at least 1."""
+    val = int(sec.get(key, default))
+    if val < 1:
+        raise ConfigError(f"{section}.{key} must be at least 1, got {val}")
+    return val
+
+
 def _spectrum_of(cfg: dict):
     params = lattice_from_config(cfg)
     sambe_cfg = cfg.get("sambe", {})
-    cutoff = int(sambe_cfg.get("cutoff", 6))
+    cutoff = _count(sambe_cfg, "sambe", "cutoff", 6)
     bdg = build_realspace_bdg(params)
     sm = floquet.assemble_sambe(bdg, cutoff)
     spec = floquet.quasienergy_spectrum(
@@ -144,8 +152,10 @@ def cmd_spectrum(cfg: dict, out: Path, fmt: str) -> int:
 
 
 def cmd_modes(cfg: dict, out: Path, fmt: str) -> int:
-    params, spec = _spectrum_of(cfg)
     frac = float(cfg.get("modes", {}).get("corner_frac", 0.25))
+    if not 0 < frac <= 0.5:
+        raise ConfigError(f"modes.corner_frac must lie in (0, 0.5], got {frac}")
+    params, spec = _spectrum_of(cfg)
     shape = params.shape
     rotated = []
     for species in ("zero", "pi"):
@@ -199,10 +209,9 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
     if seed is None:
         raise ConfigError("protocol runs require a seed")
     rng = np.random.default_rng(int(seed))
-    n_inputs = int(sec.get("n_inputs", 3))
+    n_inputs = _count(sec, "protocol", "n_inputs", 3)
     correction_mode = sec.get("correction_mode", "measured")
-    ancilla = "magic" if pid.startswith("tgate") else "z+"
-    inputs = protocols.random_logical_inputs(n_inputs, rng, ancilla=ancilla)
+    inputs = protocols.random_logical_inputs(pid, n_inputs, rng)
 
     if mode == "enumerate":
         report = protocols.enumerate_branches(
@@ -221,7 +230,7 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
               f"{report.n_reachable} reachable (branch, input) pairs")
         return 0
 
-    samples = int(sec.get("samples", 20))
+    samples = _count(sec, "protocol", "samples", 20)
     logs = []
     worst = 0.0
     for state in inputs:
@@ -288,7 +297,7 @@ def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
         raise ConfigError("sweep_variable must be flux0 or flux1")
     start = float(sec.get("sweep_start", 0.0))
     stop = float(sec.get("sweep_stop", 2 * np.pi))
-    points = int(sec.get("sweep_points", 41))
+    points = _count(sec, "readout", "sweep_points", 41)
     rows = []
     for val in np.linspace(start, stop, points):
         f0, f1 = (val, flux1) if var == "flux0" else (flux0, val)

@@ -107,16 +107,6 @@ def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
     return SambeMatrix(m_cutoff=M, blockdim=d, omega=bdg.omega, matrix=H)
 
 
-def fold(eps: np.ndarray | float, omega: float) -> np.ndarray | float:
-    """Fold quasienergies into (-omega/2, omega/2], boundary at +omega/2."""
-    e = np.asarray(eps, dtype=float)
-    out = e - omega * np.floor(e / omega + 0.5)
-    out = np.where(out <= -omega / 2 + 1e-14 * omega, out + omega, out)
-    if np.isscalar(eps):
-        return float(out)
-    return out
-
-
 def circular_distance(eps, target, omega):
     """Distance between quasienergies on the circle of circumference omega."""
     d = np.asarray(eps, dtype=float) - target
@@ -153,13 +143,12 @@ def quasienergy_spectrum(
 ) -> SpectrumResult:
     """Solve the central Floquet zone and package the Majorana modes.
 
-    One subset eigensolve returns the Sambe eigenpairs in (-omega/2,
-    omega/2], the same half-open zone `fold` maps to: these are the
-    folded quasienergies, one per physical state.  Raises RuntimeError
-    unless the zone holds exactly `blockdim` states.  Mode tolerances
-    default to 1e-3 * omega.  Eigenvectors are kept only for states inside
-    the zero/pi windows; pi modes near -omega/2 are shifted to the +omega/2
-    representative.
+    One subset eigensolve returns the Sambe eigenpairs in the half-open
+    zone (-omega/2, omega/2]: these are the folded quasienergies, one per
+    physical state.  Raises RuntimeError unless the zone holds exactly
+    `blockdim` states.  Mode tolerances default to 1e-3 * omega.
+    Eigenvectors are kept only for states inside the zero/pi windows; pi
+    modes near -omega/2 are shifted to the +omega/2 representative.
     """
     # scipy.linalg costs ~0.1 s to import; only Sambe solves should pay it
     import scipy.linalg

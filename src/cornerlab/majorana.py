@@ -17,6 +17,14 @@ algebra; expectation values on the corner-mode subspace are constant):
     sz3 = g01 g02 g03 g04    sx3 = i g04 gp4
 All computation is restricted to the even total-parity sector
 g01 g02 g03 g04 gp1 gp2 gp3 gp4 = +1.
+
+Strings act as signed permutations.  On the Jordan-Wigner Fock space
+(basis index bit k, most significant first, is the occupation of mode k)
+label index a = 2k is gamma_A of mode k and a = 2k + 1 its gamma_B, with
+    gamma_{2k} = Z...Z X_k,    gamma_{2k+1} = i Z...Z X_k Z_k
+(Z on the modes before k), so every string is a Pauli string
+i^p X^x Z^z with (S psi)[i] = i^p (-1)^{|(i^x) & z|} psi[i^x]
+(Bravyi & Kitaev, Ann. Phys. 298, 210 (2002)).
 """
 
 from __future__ import annotations
@@ -27,8 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from cornerlab import fock
 
 SPECIES = ("0", "pi")
 N_MAJORANA = 8
@@ -72,76 +78,62 @@ def g(species: str, corner: int) -> MajoranaLabel:
 ALL_LABELS = tuple(g(s, c) for s in SPECIES for c in range(1, 5))
 
 
-def _canonicalize(factors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sort Majorana indices, tracking the anticommutation sign and
-    contracting equal neighbors (gamma^2 = 1).  Returns (sign_power, sorted)
-    with sign = (-1)**sign_power."""
-    seq = list(factors)
-    swaps = 0
-    # insertion sort counting transpositions of distinct elements
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            swaps += 1
-            j -= 1
-    out = []
-    for x in seq:
-        if out and out[-1] == x:
-            out.pop()
-        else:
-            out.append(x)
-    return swaps % 2, tuple(out)
-
-
 @dataclass(frozen=True)
 class MajoranaString:
     """phase * product of Majorana operators, phase in {1, i, -1, -i}.
 
-    Stored canonically: factors strictly increasing in the label order,
-    phase as a power of i.  Construct via `string(phase, labels)` or the
-    module-level Pauli constants; raw construction skips canonicalization.
+    Stored as a power of i and an 8-bit mask whose bit a is set exactly
+    when gamma_a is a factor; the factors multiply in increasing label
+    order.  Construct via `string(phase, labels)` or the module-level Pauli
+    constants.
     """
 
-    phase_power: int                 # phase = i**phase_power, 0..3
-    factors: tuple[int, ...]         # canonical label indices, 0..7
+    phase_power: int     # phase = i**phase_power, 0..3
+    mask: int            # bit a <=> label index a is a factor
 
     @property
     def phase(self) -> complex:
         return 1j ** self.phase_power
 
     @property
+    def factors(self) -> tuple[int, ...]:
+        """Label indices of the factors, increasing."""
+        return tuple(a for a in range(N_MAJORANA) if self.mask >> a & 1)
+
+    @property
     def labels(self) -> tuple[MajoranaLabel, ...]:
         return tuple(ALL_LABELS[i] for i in self.factors)
 
     def __len__(self):
-        return len(self.factors)
+        return self.mask.bit_count()
 
     def dagger(self) -> "MajoranaString":
         # reversal of l factors costs (-1)**(l(l-1)/2); conjugate the phase
-        l = len(self.factors)
+        l = len(self)
         rev = (l * (l - 1) // 2) % 2
-        return MajoranaString((-self.phase_power + 2 * rev) % 4, self.factors)
+        return MajoranaString((-self.phase_power + 2 * rev) % 4, self.mask)
 
     def is_hermitian(self) -> bool:
-        l = len(self.factors)
+        l = len(self)
         return (l * (l - 1) // 2) % 2 == self.phase_power % 2
-
-    def is_parity(self) -> bool:
-        """Hermitian with square one: the measurable strings."""
-        return self.is_hermitian()
-
-    def __neg__(self) -> "MajoranaString":
-        return MajoranaString((self.phase_power + 2) % 4, self.factors)
 
     def __repr__(self):
         pre = {0: "", 1: "i ", 2: "- ", 3: "-i "}[self.phase_power % 4]
-        body = " ".join(repr(l) for l in self.labels) if self.factors else "1"
+        body = " ".join(repr(l) for l in self.labels) if self.mask else "1"
         return (pre + body).strip()
 
 
+def multiply(a: MajoranaString, b: MajoranaString) -> MajoranaString:
+    """Product a*b: each factor j of b anticommutes past the factors of a
+    above j, and equal factors cancel (gamma^2 = 1)."""
+    swaps = sum((a.mask >> (j + 1)).bit_count()
+                for j in range(N_MAJORANA) if b.mask >> j & 1)
+    return MajoranaString((a.phase_power + b.phase_power + 2 * swaps) % 4,
+                          a.mask ^ b.mask)
+
+
 def string(phase: complex, labels) -> MajoranaString:
-    """Canonical MajoranaString from a unit phase in {1, i, -1, -i} and labels
+    """MajoranaString from a unit phase in {1, i, -1, -i} and labels
     (MajoranaLabel instances, in any order, repeats allowed)."""
     table = {1: 0, 1j: 1, -1: 2, -1j: 3}
     key = complex(phase)
@@ -151,36 +143,47 @@ def string(phase: complex, labels) -> MajoranaString:
             power = p
     if power is None:
         raise ValueError(f"phase must be a fourth root of unity, got {phase}")
-    sign_pow, canon = _canonicalize(tuple(l.index for l in labels))
-    return MajoranaString((power + 2 * sign_pow) % 4, canon)
+    out = MajoranaString(power, 0)
+    for l in labels:
+        out = multiply(out, MajoranaString(0, 1 << l.index))
+    return out
 
 
-def multiply(a: MajoranaString, b: MajoranaString) -> MajoranaString:
-    """Canonical product a*b with the anticommutation sign."""
-    sign_pow, canon = _canonicalize(a.factors + b.factors)
-    return MajoranaString((a.phase_power + b.phase_power + 2 * sign_pow) % 4, canon)
+IDENTITY = MajoranaString(0, 0)
+
+# --- action on the 16-dim Fock space (Jordan-Wigner) -----------------------
+
+@lru_cache(maxsize=None)
+def _pauli_form(s: MajoranaString) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, coeff) with (S psi)[i] = coeff[i] psi[perm[i]], from the Pauli
+    form i^p X^x Z^z of the string: perm = i ^ x and
+    coeff = i^p (-1)^{|(i^x) & z|}."""
+    p, x, z = s.phase_power, 0, 0
+    for a in s.factors:
+        bit = 1 << (N_MODES - 1 - a // 2)          # mode a // 2
+        # gamma_a = i^(a%2) X^bit times Z on the earlier modes, and on its
+        # own mode for the B member of the pair.  No smaller factor has Z
+        # on this mode, so X^bit commutes past the Z^z collected so far.
+        p += a % 2
+        x ^= bit
+        z ^= (DIM - 2 * bit) | (bit if a % 2 else 0)
+    perm = np.arange(DIM) ^ x
+    coeff = 1j ** (p % 4) * np.array([(-1.0) ** (int(i) & z).bit_count()
+                                      for i in perm])
+    perm.setflags(write=False)
+    coeff.setflags(write=False)
+    return perm, coeff
 
 
-IDENTITY = MajoranaString(0, ())
-
-# --- 16-dim matrix representation (Jordan-Wigner) -------------------------
-
-@lru_cache(maxsize=1)
-def _gamma_matrices() -> tuple[np.ndarray, ...]:
-    """(A, B) Majorana pairs of the four Jordan-Wigner modes, read-only."""
-    gammas = [m for k in range(N_MODES) for m in fock.majorana_pair(N_MODES, k)]
-    for m in gammas:
-        m.setflags(write=False)
-    return tuple(gammas)
+def apply(s: MajoranaString, psi: np.ndarray) -> np.ndarray:
+    """S psi for a 16-vector, or S applied to each column of a 16-row array."""
+    perm, coeff = _pauli_form(s)
+    return (coeff * psi[perm].T).T
 
 
 def to_matrix(s: MajoranaString) -> np.ndarray:
-    """16x16 matrix of the canonical string."""
-    gam = _gamma_matrices()
-    out = s.phase * np.eye(DIM, dtype=complex)
-    for idx in s.factors:
-        out = out @ gam[idx]
-    return out
+    """16x16 matrix of the string."""
+    return apply(s, np.eye(DIM))
 
 
 # --- qubit encoding --------------------------------------------------------
@@ -223,8 +226,8 @@ class FockState:
 
     @property
     def sector(self) -> str:
-        p = to_matrix(TOTAL_PARITY)
-        val = float(np.vdot(self.amplitudes, p @ self.amplitudes).real)
+        amp = self.amplitudes
+        val = float(np.vdot(amp, apply(TOTAL_PARITY, amp)).real)
         if abs(val - 1) < 1e-10:
             return "even"
         if abs(val + 1) < 1e-10:
@@ -244,30 +247,22 @@ class FockState:
 
 @lru_cache(maxsize=1)
 def _logical_basis() -> dict[tuple[int, int, int], np.ndarray]:
-    """Even-sector basis |b1 b2 b3> with sz_j = (-1)**b_j, built by fixing
-    |000> (joint +1 eigenstate, first large amplitude made real positive)
-    and applying the sigma_x strings."""
-    projectors = [to_matrix(TOTAL_PARITY)] + [
-        to_matrix(pauli("z", q)) for q in (1, 2, 3)
-    ]
-    basis = np.eye(DIM, dtype=complex)
-    for p in projectors:
-        basis = (basis + p @ basis) / 2
-        qmat, rmat = np.linalg.qr(basis)
-        keep = np.abs(np.diag(rmat)) > 1e-9
-        basis = qmat[:, keep]
-    if basis.shape[1] != 1:
-        raise RuntimeError(f"|000> not unique: got {basis.shape[1]} states")
-    v = basis[:, 0]
-    i0 = int(np.argmax(np.abs(v)))
-    v = v * np.exp(-1j * np.angle(v[i0]))
-    xs = [to_matrix(pauli("x", q)) for q in (1, 2, 3)]
+    """Even-sector basis |b1 b2 b3> with sz_j = (-1)**b_j: |000> is the
+    basis state on which TOTAL_PARITY and the three (diagonal) sigma_z
+    strings all read +1, and the sigma_x strings build the others."""
+    diagonals = [apply(s, np.ones(DIM))
+                 for s in (TOTAL_PARITY, *(pauli("z", q) for q in (1, 2, 3)))]
+    hits = np.flatnonzero(np.all(np.array(diagonals) == 1, axis=0))
+    if hits.size != 1:
+        raise RuntimeError(f"|000> not unique: got {hits.size} states")
+    v = np.zeros(DIM, dtype=complex)
+    v[hits[0]] = 1
     out = {}
     for bits in itertools.product((0, 1), repeat=3):
-        vec = v.copy()
-        for q, b in enumerate(bits):
+        vec = v
+        for q, b in enumerate(bits, start=1):
             if b:
-                vec = xs[q] @ vec
+                vec = apply(pauli("x", q), vec)
         out[bits] = vec
     return out
 
@@ -301,7 +296,7 @@ def decode_logical(state: FockState) -> np.ndarray:
 
 def expectation(state: FockState, s: MajoranaString) -> complex:
     """<psi| S |psi>; real for Hermitian strings."""
-    val = complex(np.vdot(state.amplitudes, to_matrix(s) @ state.amplitudes))
+    val = complex(np.vdot(state.amplitudes, apply(s, state.amplitudes)))
     if s.is_hermitian():
         return val.real
     return val
@@ -325,13 +320,13 @@ def measure(
     Exactly one of `rng` (sample mode) and `force` (condition on an outcome)
     must be given.  Forcing an outcome with probability < 1e-14 raises.
     """
-    if not parity.is_parity():
+    if not parity.is_hermitian():
         raise ValueError(f"{parity!r} is not a Hermitian parity string")
     if (rng is None) == (force is None):
         raise ValueError("pass exactly one of rng= or force=")
-    pm = to_matrix(parity)
     psi = state.amplitudes
-    p_plus = float(np.vdot(psi, (psi + pm @ psi)).real) / 2
+    p_psi = apply(parity, psi)
+    p_plus = float(np.vdot(psi, (psi + p_psi)).real) / 2
     p_plus = min(max(p_plus, 0.0), 1.0)
     if force is not None:
         if force not in (+1, -1):
@@ -346,7 +341,7 @@ def measure(
     else:
         outcome = 1 if rng.random() < p_plus else -1
         prob = p_plus if outcome == 1 else 1 - p_plus
-    post = (psi + outcome * (pm @ psi)) / 2
+    post = (psi + outcome * p_psi) / 2
     post = post / np.linalg.norm(post)
     return MeasureResult(outcome, FockState(post), prob)
 

@@ -3,7 +3,7 @@
 Every gate is a short sequence of two- or four-Majorana parity
 measurements followed by an outcome-dependent Pauli/phase correction.
 Corrections can themselves be executed as forced-measurement protocols
-(faithful mode) or applied directly as matrices (classical mode); both
+(faithful mode) or applied directly to the state (classical mode); both
 paths implement the same logical operator.
 
 Branch conventions: outcomes are labeled by the measured sign of the
@@ -37,6 +37,7 @@ from cornerlab import majorana as mj
 from cornerlab.majorana import (
     FockState,
     MajoranaString,
+    apply,
     decode_logical,
     encode_logical,
     g,
@@ -44,7 +45,6 @@ from cornerlab.majorana import (
     multiply,
     pauli,
     string,
-    to_matrix,
 )
 
 RETRY_CAP = 64
@@ -230,15 +230,16 @@ class _Executor:
             return
         kind, qubit = name[0], int(name[1])
         if self.mode == "classical":
+            psi = self.state.amplitudes
             if kind in ("x", "z"):
-                mat = to_matrix(pauli(kind, qubit))
+                psi = apply(pauli(kind, qubit), psi)
             elif kind == "p":
-                mat = (np.eye(16) + to_matrix(
-                    string(1, [g("0" if qubit == 1 else "pi", 1),
-                               g("0" if qubit == 1 else "pi", 2)]))) / np.sqrt(2)
+                species = "0" if qubit == 1 else "pi"
+                pair = string(1, [g(species, 1), g(species, 2)])
+                psi = (psi + apply(pair, psi)) / np.sqrt(2)
             else:
                 raise ValueError(f"unknown correction {name!r}")
-            self.state = FockState(mat @ self.state.amplitudes)
+            self.state = FockState(psi)
             return
         # measured mode: corrections are measurement protocols themselves
         if kind in ("x", "z"):
@@ -513,15 +514,13 @@ def enumerate_branches(
 
 
 def random_logical_inputs(
-    n: int, rng: np.random.Generator, ancilla: str = "z+",
+    protocol: str, n: int, rng: np.random.Generator,
 ) -> list[FockState]:
-    """Random product inputs: Haar-ish random qubits 1-2, ancilla prepared
-    as requested ('z+', 'z-', or 'magic')."""
-    anc = {
-        "z+": np.array([1.0, 0.0], dtype=complex),
-        "z-": np.array([0.0, 1.0], dtype=complex),
-        "magic": magic_state(),
-    }[ancilla]
+    """Random product inputs for a protocol: Haar-ish random qubits 1-2, the
+    ancilla in the magic state for a T-gate and in |0> otherwise."""
+    if protocol not in PROTOCOL_IDS:
+        raise ValueError(f"unknown protocol id {protocol!r}")
+    anc = magic_state() if protocol.startswith("tgate") else [1.0, 0.0]
     out = []
     for _ in range(n):
         qs = []

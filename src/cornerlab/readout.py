@@ -170,31 +170,6 @@ def two_lead_conductance(
     )
 
 
-def _string_expectation(
-    s: MajoranaString, p12: float, p34: float, p1234: float
-) -> complex:
-    """Expectation of a canonical zero-species string in a state with the
-    given pair parities: <g01 g02> = -i p12, <g03 g04> = -i p34,
-    <g01 g02 g03 g04> = p1234 (equal to -p12 p34 on joint eigenstates);
-    strings pairing other combinations average to zero."""
-    f = s.factors
-    idx = {mj.g("0", c).index: c for c in range(1, 5)}
-    corners = tuple(idx.get(i) for i in f)
-    if None in corners:
-        raise ValueError(f"non-zero-species string in amplitude: {s!r}")
-    if corners == ():
-        val = 1.0
-    elif corners == (1, 2):
-        val = -1j * p12
-    elif corners == (3, 4):
-        val = -1j * p34
-    elif corners == (1, 2, 3, 4):
-        val = p1234
-    else:
-        val = 0.0
-    return s.phase * val
-
-
 def joint_conductance(
     cfg: LeadConfig,
     parities: tuple[float, float],
@@ -213,27 +188,25 @@ def joint_conductance(
     if p1234 is None:
         p1234 = -p12 * p34
     amp = four_lead_effective(params)
-    ops = {
-        "g01 g04": (amp.c14, string(1, [g("0", 1), g("0", 4)])),
-        "g02 g04": (amp.c24, string(1, [g("0", 2), g("0", 4)])),
-        "g01 g03": (amp.c13, string(1, [g("0", 1), g("0", 3)])),
-    }
-    terms = {"a0": 0.0, "a1_term": 0.0, "a2_term": 0.0, "a3_term": 0.0}
-    for ka, (ca, sa) in ops.items():
-        for kb, (cb, sb) in ops.items():
+    ops = ((amp.c14, string(1, [g("0", 1), g("0", 4)])),
+           (amp.c24, string(1, [g("0", 2), g("0", 4)])),
+           (amp.c13, string(1, [g("0", 1), g("0", 3)])))
+    # zero-species mask of a string -> (its term, its expectation per unit
+    # phase): <g01 g02> = -i p12, <g03 g04> = -i p34, <g01 g02 g03 g04> =
+    # p1234 (equal to -p12 p34 on joint eigenstates); strings pairing other
+    # combinations average to zero in the parity eigenbasis
+    table = {0b0000: ("a0", 1.0), 0b0011: ("a1_term", -1j * p12),
+             0b1100: ("a2_term", -1j * p34), 0b1111: ("a3_term", p1234)}
+    terms = {key: 0.0 for key, _ in table.values()}
+    for ca, sa in ops:
+        for cb, sb in ops:
             prod = mj.multiply(sa.dagger(), sb)
-            coeff = np.conj(ca) * cb
-            val = coeff * _string_expectation(prod, p12, p34, p1234)
-            contrib = float(np.real(val))
-            if len(prod) == 0:
-                terms["a0"] += contrib
-            elif prod.factors == (g("0", 1).index, g("0", 2).index):
-                terms["a1_term"] += contrib
-            elif prod.factors == (g("0", 3).index, g("0", 4).index):
-                terms["a2_term"] += contrib
-            elif len(prod) == 4:
-                terms["a3_term"] += contrib
-            # any other pairing averages to zero in the parity eigenbasis
+            if prod.mask >> 4:
+                raise ValueError(
+                    f"non-zero-species string in amplitude: {prod!r}")
+            if prod.mask in table:
+                key, val = table[prod.mask]
+                terms[key] += float(np.real(np.conj(ca) * cb * (prod.phase * val)))
     value = sum(terms.values())
     return ConductanceResult(value=value, decomposition=terms, species_pair="00")
 

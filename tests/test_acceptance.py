@@ -94,15 +94,14 @@ def test_criterion_3_protocol_exactness():
     worst = 1.0
     details = []
     for pid in protocols.PROTOCOL_IDS:
-        ancilla = "magic" if pid.startswith("tgate") else "z+"
-        inputs = protocols.random_logical_inputs(10, rng, ancilla=ancilla)
+        inputs = protocols.random_logical_inputs(pid, 10, rng)
         rep = protocols.enumerate_branches(pid, inputs)
         worst = min(worst, rep.min_fidelity)
         details.append(f"{pid} {1 - rep.min_fidelity:.1e}")
         assert rep.covered
     # composition checks
     comps = {}
-    state = protocols.random_logical_inputs(1, rng)[0]
+    state = protocols.random_logical_inputs("hadamard1", 1, rng)[0]
 
     def run_seq(pids, st):
         for pid in pids:

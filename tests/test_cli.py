@@ -62,6 +62,22 @@ def test_config_validation(tmp_path):
         assert res.returncode == 2
         assert f"unknown key {section}.{key!r}" in res.stderr
 
+    # out-of-range values
+    for command, section, key, val in (
+            ("protocol", "protocol", "n_inputs", 0),
+            ("protocol", "protocol", "samples", -3),
+            ("readout", "readout", "sweep_points", 0),
+            ("spectrum", "sambe", "cutoff", 0),
+            ("modes", "modes", "corner_frac", 0.0),
+            ("modes", "modes", "corner_frac", 0.6)):
+        cfg = dict(KITAEV, protocol={"id": "cnot", "mode": "sample",
+                                     "seed": 5})
+        cfg[section] = dict(cfg.get(section, {}), **{key: val})
+        res = run_cli(command, "--config", write(tmp_path, "range.json", cfg),
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, (section, key, val, res.stderr)
+        assert f"{section}.{key} must" in res.stderr
+
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     res = run_cli("spectrum", "--config", str(broken), "--out", str(tmp_path / "o"))

@@ -12,7 +12,6 @@ from cornerlab.floquet import (
     corner_basis_rotation,
     corner_localization,
     find_majorana_modes,
-    fold,
     fourier_weight_profile,
     quasienergy_spectrum,
 )
@@ -107,7 +106,10 @@ def test_central_zone_matches_dense_oracle(name, rng, monkeypatch):
         assert np.linalg.norm(sm.matrix @ v - lam * v) <= 1e-9 * h_norm
         assert circular_distance(eps, mode.quasienergy, W).min() <= 1e-12
     if is_bdg:
-        assert np.abs(eps - np.sort(fold(-eps, W))).max() <= 1e-12
+        # -eps stays in the zone (so the spectrum is particle-hole paired
+        # with itself) only while no state sits on the boundary +-W/2
+        assert np.abs(np.abs(eps) - W / 2).min() > 1e-12
+        assert np.abs(eps - np.sort(-eps)).max() <= 1e-12
 
 
 def test_zone_count_mismatch_raises():
@@ -175,10 +177,6 @@ def test_mode_normalization(bench_spectrum):
 
 
 def test_fold_and_distance():
-    assert fold(W, W) == pytest.approx(0.0, abs=1e-12)
-    assert fold(W / 2, W) == pytest.approx(W / 2)
-    assert fold(-W / 2, W) == pytest.approx(W / 2)      # boundary to +w/2
-    assert fold(0.6 * W, W) == pytest.approx(-0.4 * W)
     assert circular_distance(-W / 2 + 0.01, W / 2, W) == pytest.approx(0.01)
 
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornerlab import fock
 from cornerlab import majorana as mj
 from cornerlab.majorana import (
     ALL_LABELS,
     DIM,
     FockState,
     IDENTITY,
+    MajoranaString,
     TOTAL_PARITY,
     encode_logical,
     expectation,
@@ -20,6 +22,7 @@ from cornerlab.majorana import (
     multiply,
     parse_string,
     pauli,
+    apply,
     string,
     to_matrix,
 )
@@ -52,6 +55,53 @@ def test_canonicalization():
     s2 = string(1, [g("0", 2), g("0", 1)])       # swap costs a sign
     assert s2.phase == -1 and s2.factors == (0, 1)
     assert str(string(1j, [g("0", 1), g("0", 2)]))
+
+
+GAMMAS = [m for k in range(4) for m in fock.majorana_pair(4, k)]
+
+
+def test_to_matrix_matches_jordan_wigner_products():
+    # every mask and phase, in label order and (built through `string`,
+    # so `multiply` reorders it) in reverse label order
+    for mask in range(2 ** 8):
+        for p in range(4):
+            s = MajoranaString(p, mask)
+            forward = (1j ** p) * np.eye(DIM, dtype=complex)
+            backward = forward.copy()
+            for a in s.factors:
+                forward = forward @ GAMMAS[a]
+            for a in reversed(s.factors):
+                backward = backward @ GAMMAS[a]
+            assert np.array_equal(to_matrix(s), forward)
+            rev = string(1j ** p, [ALL_LABELS[a] for a in reversed(s.factors)])
+            assert np.array_equal(to_matrix(rev), backward)
+
+
+def test_multiply_exhaustive():
+    unit = [MajoranaString(0, mask) for mask in range(2 ** 8)]
+    mats = np.array([to_matrix(s) for s in unit])
+    for a in unit:
+        prods = [multiply(a, b) for b in unit]
+        got = (np.array([1j ** s.phase_power for s in prods])[:, None, None]
+               * mats[[s.mask for s in prods]])
+        assert np.array_equal(got, mats[a.mask] @ mats)
+
+
+def test_apply_acts_on_columns(rng):
+    cols = rng.normal(size=(DIM, 3)) + 1j * rng.normal(size=(DIM, 3))
+    for mask in range(2 ** 8):
+        for p in range(4):
+            s = MajoranaString(p, mask)
+            assert np.abs(apply(s, cols) - to_matrix(s) @ cols).max() < 1e-15
+            assert np.abs(apply(s, cols[:, 0])
+                          - to_matrix(s) @ cols[:, 0]).max() < 1e-15
+
+
+def test_logical_basis_is_exact():
+    for vec in mj._logical_basis().values():
+        nonzero = vec[vec != 0]
+        assert nonzero.size == 1
+        assert nonzero[0] in (1, -1, 1j, -1j)
 
 
 def test_anticommutators_exact():

@@ -19,10 +19,6 @@ from cornerlab.protocols import (
     run_tgate,
 )
 
-ANCILLAS = {pid: ("magic" if pid.startswith("tgate") else "z+")
-            for pid in PROTOCOL_IDS}
-
-
 def fidelity_after(pid, state, rng, **kw):
     run = run_protocol(pid, state, rng=rng, **kw)
     return logical_fidelity(state, run, GATE_TARGETS[pid]), run
@@ -106,7 +102,7 @@ def test_wrong_resource_state_fails_honestly(rng):
     *[pytest.param(pid, "measured", id=f"{pid}-measured") for pid in PROTOCOL_IDS],
 ])
 def test_enumerate_all_protocols(pid, correction_mode, rng):
-    inputs = random_logical_inputs(3, rng, ancilla=ANCILLAS[pid])
+    inputs = random_logical_inputs(pid, 3, rng)
     rep = enumerate_branches(pid, inputs, correction_mode=correction_mode,
                              rng=rng)
     assert rep.min_fidelity >= 1 - 1e-12
@@ -117,13 +113,13 @@ def test_enumerate_all_protocols(pid, correction_mode, rng):
 
 @pytest.mark.parametrize("pid", ["hadamard1", "cnot", "tgate2"])
 def test_enumerate_with_measured_corrections(pid, rng):
-    inputs = random_logical_inputs(2, rng, ancilla=ANCILLAS[pid])
+    inputs = random_logical_inputs(pid, 2, rng)
     rep = enumerate_branches(pid, inputs, correction_mode="measured", rng=rng)
     assert rep.min_fidelity >= 1 - 1e-12
 
 
 def test_identity_branches_match_published_rows(rng):
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("hadamard1", 1, rng)[0]
     # hadamard: s2 = -s3, s1 = -s4 -> no correction
     run = run_hadamard(state, 1, forced=[1, 1, -1, -1, 1],
                        correction_mode="classical")
@@ -135,21 +131,21 @@ def test_identity_branches_match_published_rows(rng):
     run = run_cnot(state, forced=[1, 1, -1, 1], correction_mode="classical")
     assert run.corrections == ["1"]
     # tgate: s1 = s2 = +1 -> no correction
-    magic_in = random_logical_inputs(1, rng, ancilla="magic")[0]
+    magic_in = random_logical_inputs("tgate1", 1, rng)[0]
     run = run_tgate(magic_in, 1, forced=[1, 1, 1], correction_mode="classical")
     assert run.corrections == ["1"]
 
 
 def test_ancilla_restored_after_every_protocol(rng):
     for pid in PROTOCOL_IDS:
-        state = random_logical_inputs(1, rng, ancilla=ANCILLAS[pid])[0]
+        state = random_logical_inputs(pid, 1, rng)[0]
         run = run_protocol(pid, state, rng=rng)
         anc = expectation(run.state, pauli("z", 3))
         assert abs(abs(anc) - 1) < 1e-12
 
 
 def test_branch_probability_and_log(rng):
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("hadamard1", 1, rng)[0]
     run = run_hadamard(state, 1, rng=rng)
     assert 0 < run.branch_probability <= 1
     log = run.log()
@@ -187,7 +183,7 @@ def test_retry_cap_raises():
 
 def test_sampling_matches_enumeration_chi2():
     rng = np.random.default_rng(31)
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("phase1", 1, rng)[0]
     rep = enumerate_branches("phase1", [state])
     probs = {k: v for k, v in rep.branch_probabilities.items() if v > 0}
     n = 10_000
@@ -203,7 +199,7 @@ def test_sampling_matches_enumeration_chi2():
 
 
 def test_measured_and_classical_corrections_agree(rng):
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("phase1", 1, rng)[0]
     for forced in ([1, -1, 1], [-1, 1, -1]):
         run_c = run_phase(state, 1, forced=list(forced),
                           correction_mode="classical")
@@ -216,7 +212,7 @@ def test_measured_and_classical_corrections_agree(rng):
 
 def test_identity_protocol_infidelity_zero(rng):
     # measuring sigma_z^(3) on its eigenstate leaves the logical state alone
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("phase1", 1, rng)[0]
     res = mj.measure(state, pauli("z", 3), force=+1)
     dec_in = mj.decode_logical(state).reshape(4, 2)[:, 0]
     dec_out = mj.decode_logical(res.post_state).reshape(4, 2)[:, 0]
@@ -242,18 +238,18 @@ def _logical_overlap(a, b):
 
 
 def test_hadamard_squares_to_identity(rng):
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("hadamard1", 1, rng)[0]
     out = _compose(["hadamard1", "hadamard1"], state, rng)
     assert 1 - _logical_overlap(out, state) < 1e-11
 
 
 def test_phase_fourth_power_is_identity(rng):
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("phase2", 1, rng)[0]
     out = _compose(["phase2"] * 4, state, rng)
     assert 1 - _logical_overlap(out, state) < 1e-11
 
 
 def test_cnot_squares_to_identity(rng):
-    state = random_logical_inputs(1, rng)[0]
+    state = random_logical_inputs("cnot", 1, rng)[0]
     out = _compose(["cnot", "cnot"], state, rng)
     assert 1 - _logical_overlap(out, state) < 1e-11
