@@ -2,9 +2,9 @@
 """Solve the driven lattice at the corner-mode benchmark point and write the
 quasienergy spectrum plus corner-localized mode profiles.
 
-The acceptance-scale run (16x16 sites, cutoff 6) takes about 85 s and
-2.1 GB on two cores; the default here, a 12x12 lattice at cutoff 4, about
-12 s.
+The acceptance-scale run (16x16 sites, cutoff 6) takes about 21 s and
+1.1 GB on two cores; the default here, a 12x12 lattice at cutoff 4, about
+4 s.
 """
 
 import argparse

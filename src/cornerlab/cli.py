@@ -106,11 +106,14 @@ def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def _count(sec: dict, section: str, key: str, default: int) -> int:
-    """An integer config value that must be at least 1."""
-    val = int(sec.get(key, default))
-    if val < 1:
-        raise ConfigError(f"{section}.{key} must be at least 1, got {val}")
+def _count(sec: dict, section: str, key: str, default: int | None,
+           low: int = 1) -> int:
+    """A JSON integer config value that must be at least `low`."""
+    val = sec.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{section}.{key} must be an integer, got {val!r}")
+    if val < low:
+        raise ConfigError(f"{section}.{key} must be at least {low}, got {val}")
     return val
 
 
@@ -205,12 +208,15 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
     mode = sec.get("mode", "enumerate")
     if mode not in ("enumerate", "sample"):
         raise ConfigError(f"protocol mode must be enumerate or sample")
-    seed = sec.get("seed")
-    if seed is None:
+    if sec.get("seed") is None:
         raise ConfigError("protocol runs require a seed")
-    rng = np.random.default_rng(int(seed))
+    seed = _count(sec, "protocol", "seed", None, low=0)
+    rng = np.random.default_rng(seed)
     n_inputs = _count(sec, "protocol", "n_inputs", 3)
     correction_mode = sec.get("correction_mode", "measured")
+    if correction_mode not in ("measured", "classical"):
+        raise ConfigError("protocol.correction_mode must be measured or "
+                          f"classical, got {correction_mode!r}")
     inputs = protocols.random_logical_inputs(pid, n_inputs, rng)
 
     if mode == "enumerate":
@@ -219,7 +225,7 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
         write_json(out / "protocol_report.json", {
             "protocol": pid,
             "mode": mode,
-            "seed": int(seed),
+            "seed": seed,
             "branches": report.n_branches,
             "reachable": report.n_reachable,
             "min_fidelity": report.min_fidelity,
@@ -247,10 +253,10 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
                 "fidelity": fid,
             })
     write_json(out / "protocol_log.json", {
-        "protocol": pid, "mode": mode, "seed": int(seed), "runs": logs,
+        "protocol": pid, "mode": mode, "seed": seed, "runs": logs,
     })
     write_json(out / "protocol_report.json", {
-        "protocol": pid, "mode": mode, "seed": int(seed),
+        "protocol": pid, "mode": mode, "seed": seed,
         "samples": samples * n_inputs, "max_infidelity": worst,
     })
     print(f"{pid}: max infidelity {worst:.3e} over {samples * n_inputs} runs")

@@ -8,6 +8,13 @@ eigenvalue in the central zone (-omega/2, omega/2].  Only that slice is
 solved for; a zone holding any count other than `blockdim` means the
 cutoff is too small, and the solve fails loudly.
 
+Real basis: an operator that carries a `lattice.Mirror` R (every lattice
+and chain built in `lattice`) is assembled in the basis W = (1 + iR)/sqrt(2)
+where every harmonic is real, so the Sambe matrix is real symmetric and
+the solve runs in real arithmetic.  Only the kept zero and pi vectors are
+mapped back, as W v per harmonic; `FloquetMode.components` are always in
+the site basis.  Operators without a mirror are assembled complex.
+
 Species windows: a mode is `zero` if its quasienergy lies within tol_zero
 of 0, and `pi` if it lies within tol_pi of +-omega/2 on the quasienergy
 circle.  Pi modes are re-represented at the +omega/2 boundary
@@ -22,17 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cornerlab.lattice import DrivenBdG
+from cornerlab.lattice import DrivenBdG, Mirror
 
 
 @dataclass(frozen=True)
 class SambeMatrix:
-    """Assembled extended-space matrix with cutoff M (blocks n = -M..M)."""
+    """Assembled extended-space matrix with cutoff M (blocks n = -M..M):
+    real symmetric in the mirror's real basis if `mirror` is set, else
+    complex Hermitian in the site basis."""
 
     m_cutoff: int
     blockdim: int
     omega: float
     matrix: np.ndarray
+    mirror: Mirror | None = None
 
     @property
     def dim(self) -> int:
@@ -85,26 +95,31 @@ class SpectrumResult:
 
 def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
     """Block-assemble the Sambe matrix for harmonic cutoff M >= 0 (M = 0
-    only for static operators)."""
+    only for static operators).
+
+    With a mirror, each harmonic is first taken to the real basis (raising
+    ValueError if one breaks the mirror) and the matrix is assembled real;
+    the complex site-basis matrix is never formed.
+    """
     if M < 0:
         raise ValueError(f"need M >= 0, got {M}")
     if bdg.max_harmonic > 2 * M:
         raise ValueError("cutoff M too small for the harmonic content")
+    blocks = bdg.harmonics
+    if bdg.mirror is not None:
+        blocks = {m: bdg.mirror.to_real(h, m) for m, h in blocks.items()}
     d = bdg.dim
     D = (2 * M + 1) * d
-    H = np.zeros((D, D), dtype=complex)
+    H = np.zeros((D, D), dtype=complex if bdg.mirror is None else float)
     for n in range(-M, M + 1):
         rn = (n + M) * d
-        for m in range(-M, M + 1):
-            h = bdg.harmonics.get(n - m)
-            if h is None and n != m:
-                continue
-            cm = (m + M) * d
-            blk = h if h is not None else 0.0
-            H[rn:rn + d, cm:cm + d] = blk
-            if n == m:
-                H[rn:rn + d, cm:cm + d] += n * bdg.omega * np.eye(d)
-    return SambeMatrix(m_cutoff=M, blockdim=d, omega=bdg.omega, matrix=H)
+        for k, h in blocks.items():
+            if abs(n - k) <= M:
+                cm = (n - k + M) * d
+                H[rn:rn + d, cm:cm + d] = h
+    H[np.diag_indices(D)] += np.repeat(np.arange(-M, M + 1) * bdg.omega, d)
+    return SambeMatrix(m_cutoff=M, blockdim=d, omega=bdg.omega, matrix=H,
+                       mirror=bdg.mirror)
 
 
 def circular_distance(eps, target, omega):
@@ -147,8 +162,10 @@ def quasienergy_spectrum(
     zone (-omega/2, omega/2]: these are the folded quasienergies, one per
     physical state.  Raises RuntimeError unless the zone holds exactly
     `blockdim` states.  Mode tolerances default to 1e-3 * omega.
-    Eigenvectors are kept only for states inside the zero/pi windows; pi
-    modes near -omega/2 are shifted to the +omega/2 representative.
+    Eigenvectors are kept only for states inside the zero/pi windows; a
+    real-basis solve maps each kept vector back to the site basis (W v per
+    harmonic), and then pi modes near -omega/2 are shifted to the +omega/2
+    representative.
     """
     # scipy.linalg costs ~0.1 s to import; only Sambe solves should pay it
     import scipy.linalg
@@ -175,7 +192,10 @@ def quasienergy_spectrum(
         if species == "bulk":
             continue
         k = int(round((w / 2 - eps) / w)) if species == "pi" else 0
-        comp = _shift_components(evecs[:, i].reshape(2 * M + 1, d), k)
+        comp = evecs[:, i].reshape(2 * M + 1, d)
+        if sambe.mirror is not None:
+            comp = sambe.mirror.to_site(comp)
+        comp = _shift_components(comp, k)
         modes.append(FloquetMode(float(eps) + k * w, comp, species, w))
 
     zero_d = np.sort(np.abs(evals))

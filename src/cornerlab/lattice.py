@@ -2,7 +2,8 @@
 
 Builds the time-periodic Bogoliubov-de Gennes (BdG) matrix of the lattice
 model in real space and momentum space, the decoupled 1D chain limit,
-and the (anti)unitary symmetry checks.
+the x-mirror antiunitary that makes every real-space harmonic real, and
+the (anti)unitary symmetry checks.
 
 Conventions
 -----------
@@ -108,15 +109,66 @@ def fig_s1_params(Nx: int = 8, Ny: int = 8, boundary: str = "open") -> LatticePa
     )
 
 
+class Mirror:
+    """Real signed-permutation involution R, (R v)[a] = sign[a] v[perm[a]],
+    with R h^(m)* R = h^(m) for every harmonic of its operator.
+
+    Then W = (1 + iR)/sqrt(2), unitary because R = R^T = R^-1, makes every
+    harmonic real: W* = -iRW, so (W^dag h W)* = W^dag R h* R W = W^dag h W.
+    On R's eigenvectors W is diag(e^{i pi/4} on R = +1, e^{-i pi/4} on
+    R = -1), so it needs no eigendecomposition.
+    """
+
+    def __init__(self, perm: np.ndarray, sign: np.ndarray):
+        perm = np.asarray(perm, dtype=np.intp)
+        sign = np.asarray(sign, dtype=float)
+        if (sign.shape != perm.shape or not np.isin(sign, (-1.0, 1.0)).all()
+                or not np.array_equal(perm[perm], np.arange(perm.size))
+                or not np.array_equal(sign[perm], sign)):
+            raise ValueError("mirror is not a symmetric signed involution")
+        self.perm, self.sign = perm, sign
+
+    def to_real(self, h: np.ndarray, m: int) -> np.ndarray:
+        """W^dag h W of harmonic m as a real array; raises ValueError if it
+        keeps an imaginary part above 1e-12 * max|h| (h breaks the mirror)."""
+        g = h + 1j * h[:, self.perm] * self.sign               # h (1 + iR)
+        out = (g - 1j * self.sign[:, None] * g[self.perm]) / 2  # (1 - iR) g / 2
+        imag = np.abs(out.imag).max(initial=0.0)
+        if imag > 1e-12 * np.abs(h).max(initial=0.0):
+            raise ValueError(f"harmonic {m} breaks the mirror: imaginary "
+                             f"part {imag:.3e} in the real basis")
+        return out.real
+
+    def to_site(self, v: np.ndarray) -> np.ndarray:
+        """W v along the last axis: real-basis vectors back to sites."""
+        return (v + 1j * self.sign * v[..., self.perm]) / np.sqrt(2.0)
+
+
+def x_mirror(Lx: int, Ly: int) -> Mirror:
+    """R = M_x (x) tau_z on the site-major, x-fastest, Nambu-innermost
+    basis: site (x, y) goes to (Lx-1-x, y) and the hole component flips
+    sign.  Every coupling is uniform in x; p_x pairing is odd under M_x
+    and i p_y pairing under conjugation, and tau_z restores both, so
+    R h^(m)* R = h^(m) for every boundary.  A self-mirrored middle column
+    (odd Lx) is fixed."""
+    x = np.arange(Lx * Ly) % Lx
+    site = np.arange(Lx * Ly) + Lx - 1 - 2 * x
+    perm = (2 * site[:, None] + np.arange(2)).ravel()
+    return Mirror(perm, np.tile([1.0, -1.0], Lx * Ly))
+
+
 class DrivenBdG:
     """Time-periodic BdG operator as a dict of Fourier harmonics.
 
     H(t) = sum_m harmonics[m] * exp(i m omega t).  Hermiticity of H(t)
     requires harmonics[-m] == harmonics[m]^dag, which is validated at
-    construction.  Matrices are frozen (non-writeable views).
+    construction.  Matrices are frozen (non-writeable views).  `mirror`,
+    if given, is an antiunitary symmetry of every harmonic (see `Mirror`);
+    the Sambe assembler then works in the basis where all are real.
     """
 
-    def __init__(self, harmonics: dict[int, np.ndarray], omega: float):
+    def __init__(self, harmonics: dict[int, np.ndarray], omega: float,
+                 mirror: Mirror | None = None):
         if not harmonics:
             raise ValueError("need at least one harmonic")
         dims = {h.shape for h in harmonics.values()}
@@ -124,6 +176,9 @@ class DrivenBdG:
             raise ValueError(f"inconsistent harmonic shapes: {dims}")
         self.dim = next(iter(dims))[0]
         self.omega = float(omega)
+        if mirror is not None and mirror.perm.size != self.dim:
+            raise ValueError(f"mirror of size {mirror.perm.size} on dim {self.dim}")
+        self.mirror = mirror
         self._h = {}
         for m, mat in harmonics.items():
             arr = np.array(mat, dtype=complex)
@@ -163,18 +218,25 @@ class DrivenBdG:
         return f"DrivenBdG(dim={self.dim}, harmonics={ms}, omega={self.omega:g})"
 
     def save_npz(self, path) -> None:
-        """Export as dense complex arrays: one `h_<m>` entry per harmonic
-        plus the scalar `omega` (numpy .npz layout)."""
+        """Export as dense complex arrays: one `h_<m>` entry per harmonic,
+        the scalar `omega` and, if present, `mirror_perm`/`mirror_sign`
+        (numpy .npz layout)."""
         payload = {f"h_{m}": np.asarray(h) for m, h in self._h.items()}
         payload["omega"] = np.array(self.omega)
+        if self.mirror is not None:
+            payload["mirror_perm"] = self.mirror.perm
+            payload["mirror_sign"] = self.mirror.sign
         np.savez(path, **payload)
 
     @classmethod
     def load_npz(cls, path) -> "DrivenBdG":
         with np.load(path) as data:
             omega = float(data["omega"])
-            harmonics = {int(k[2:]): data[k] for k in data.files if k != "omega"}
-        return cls(harmonics, omega)
+            harmonics = {int(k[2:]): data[k] for k in data.files
+                         if k.startswith("h_")}
+            mirror = (Mirror(data["mirror_perm"], data["mirror_sign"])
+                      if "mirror_perm" in data.files else None)
+        return cls(harmonics, omega, mirror)
 
 
 @dataclass(frozen=True)
@@ -271,7 +333,8 @@ def build_realspace_bdg(params: LatticeParams) -> DrivenBdG:
 
     h0 = _bdg_from_blocks(T0, P0)
     h1 = _bdg_from_blocks(T1, np.zeros_like(P0))
-    return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, params.omega)
+    return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, params.omega,
+                     x_mirror(Lx, Ly))
 
 
 def build_momentum_bdg(params: LatticeParams, kx: float, ky: float) -> DrivenBdG:
@@ -367,7 +430,8 @@ def kitaev_chain_bdg(
     h0 = _bdg_from_blocks(T0, P0)
     h1 = _bdg_from_blocks((mu1 / 2.0) * np.eye(n_sites, dtype=complex),
                           np.zeros_like(P0))
-    return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, omega)
+    return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, omega,
+                     x_mirror(n_sites, 1))
 
 
 def reduce_to_1d(params: LatticeParams, atol: float = 1e-12) -> DrivenBdG:
@@ -403,4 +467,5 @@ def row_block(bdg: DrivenBdG, params: LatticeParams, j: int) -> DrivenBdG:
     return DrivenBdG(
         {m: h[np.ix_(sel, sel)] for m, h in bdg.harmonics.items()},
         bdg.omega,
+        None if bdg.mirror is None else x_mirror(Lx, 1),
     )

@@ -21,7 +21,7 @@ def bench_params():
 
 @pytest.fixture(scope="session")
 def bench_spectrum(bench_params):
-    """Sambe spectrum of the 12x12 benchmark at M = 4 (shared, ~6 s)."""
+    """Sambe spectrum of the 12x12 benchmark at M = 4 (shared, ~2 s)."""
     bdg = lattice.build_realspace_bdg(bench_params)
     sm = floquet.assemble_sambe(bdg, 4)
     return floquet.quasienergy_spectrum(sm)

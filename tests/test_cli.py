@@ -62,9 +62,14 @@ def test_config_validation(tmp_path):
         assert res.returncode == 2
         assert f"unknown key {section}.{key!r}" in res.stderr
 
-    # out-of-range values
+    # out-of-range and mistyped values
     for command, section, key, val in (
             ("protocol", "protocol", "n_inputs", 0),
+            ("protocol", "protocol", "n_inputs", "x"),
+            ("protocol", "protocol", "seed", 1.5),
+            ("protocol", "protocol", "seed", -1),
+            ("protocol", "protocol", "correction_mode", "bogus"),
+            ("spectrum", "sambe", "cutoff", 2.5),
             ("protocol", "protocol", "samples", -3),
             ("readout", "readout", "sweep_points", 0),
             ("spectrum", "sambe", "cutoff", 0),

@@ -65,20 +65,30 @@ def test_dedup_keeps_blockdim_states(rng):
     assert spec.quasienergies.size == bdg.dim
 
 
-def _dense_oracle_problem(name, rng):
-    """(Sambe matrix, is BdG) for the dense-oracle comparison."""
-    if name == "chain":
-        return assemble_sambe(kitaev_chain_bdg(6, 1.3, 0.9, 0.7, 1.1), 5), True
+def _problem(name, rng):
+    """(driven operator, cutoff, is BdG): Kitaev chains of 6 ("chain") or
+    n ("chain<n>") sites, the 4x4 open lattice ("lattice"), 4x6 lattices
+    named by boundary, and the random toy ("toy"), which has no mirror."""
+    if name.startswith("chain"):
+        n = int(name[5:] or 6)
+        return kitaev_chain_bdg(n, 1.3, 0.9, 0.7, 1.1), 5, True
     if name == "lattice":
-        bdg = lattice.build_realspace_bdg(fig_s1_params(Nx=2, Ny=2))
-        return assemble_sambe(bdg, 4), True
-    return assemble_sambe(driven_toy(rng), 5), False
+        return lattice.build_realspace_bdg(fig_s1_params(Nx=2, Ny=2)), 4, True
+    if name in lattice.BOUNDARIES:
+        p = fig_s1_params(2, 3, boundary=name)
+        return lattice.build_realspace_bdg(p), 4, True
+    return driven_toy(rng), 5, False
 
 
-@pytest.mark.parametrize("name", ["chain", "lattice", "toy"])
-def test_central_zone_matches_dense_oracle(name, rng, monkeypatch):
-    sm, is_bdg = _dense_oracle_problem(name, rng)
-    # record each raw eigenvector before its replica shift
+def _site_sambe(bdg, M):
+    """Complex site-basis Sambe matrix of the same harmonics, no mirror."""
+    return assemble_sambe(DrivenBdG(bdg.harmonics, bdg.omega), M).matrix
+
+
+@pytest.fixture()
+def raw_vectors(monkeypatch):
+    """Each kept eigenvector, in the site basis, before its replica shift:
+    maps id(mode.components) to (raw components, shift k)."""
     raw = {}
     shift = floquet._shift_components
 
@@ -88,6 +98,14 @@ def test_central_zone_matches_dense_oracle(name, rng, monkeypatch):
         return out
 
     monkeypatch.setattr(floquet, "_shift_components", recording_shift)
+    return raw
+
+
+@pytest.mark.parametrize("name", ["chain", "chain7", "lattice", "periodic-x",
+                                  "periodic-both", "toy"])
+def test_central_zone_matches_dense_oracle(name, rng, raw_vectors):
+    bdg, M, is_bdg = _problem(name, rng)
+    sm = assemble_sambe(bdg, M)
     # windows of W/4 make every state a zero or pi mode
     spec = quasienergy_spectrum(sm, tol_zero=W / 4, tol_pi=W / 4)
     eps = spec.quasienergies
@@ -97,19 +115,64 @@ def test_central_zone_matches_dense_oracle(name, rng, monkeypatch):
     assert eps.size == zone.size == sm.blockdim
     assert np.abs(eps - zone).max() <= 1e-10
 
+    # the kept vectors are in the site basis, whatever basis sm.matrix is in
+    site = _site_sambe(bdg, M)
     assert len(spec.modes) == sm.blockdim
-    h_norm = np.linalg.norm(sm.matrix, 2)
+    h_norm = np.linalg.norm(site, 2)
     for mode in spec.modes:
-        comp, k = raw[id(mode.components)]
+        comp, k = raw_vectors[id(mode.components)]
+        assert comp.dtype == np.complex128
         v = comp.ravel()
         lam = mode.quasienergy - k * W
-        assert np.linalg.norm(sm.matrix @ v - lam * v) <= 1e-9 * h_norm
+        assert np.linalg.norm(site @ v - lam * v) <= 1e-9 * h_norm
         assert circular_distance(eps, mode.quasienergy, W).min() <= 1e-12
     if is_bdg:
         # -eps stays in the zone (so the spectrum is particle-hole paired
         # with itself) only while no state sits on the boundary +-W/2
         assert np.abs(np.abs(eps) - W / 2).min() > 1e-12
         assert np.abs(eps - np.sort(-eps)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["chain", "chain7", *lattice.BOUNDARIES])
+def test_real_path_matches_complex(name, rng):
+    bdg, M, _ = _problem(name, rng)
+    real = assemble_sambe(bdg, M)
+    cplx = assemble_sambe(DrivenBdG(bdg.harmonics, bdg.omega), M)
+    assert real.matrix.dtype == np.float64 and real.mirror is bdg.mirror
+    assert cplx.matrix.dtype == np.complex128 and cplx.mirror is None
+    a = quasienergy_spectrum(real).quasienergies
+    b = quasienergy_spectrum(cplx).quasienergies
+    assert np.abs(a - b).max() <= 1e-12
+
+
+def test_driven_toy_stays_complex(rng):
+    sm = assemble_sambe(driven_toy(rng), 2)
+    assert sm.mirror is None and sm.matrix.dtype == np.complex128
+
+
+def test_mirror_breaking_harmonic_raises():
+    p = fig_s1_params(2, 2)
+    bdg = lattice.build_realspace_bdg(p)
+    Lx, Ly = p.shape
+    # an on-site term that grows with x is not invariant under x -> Lx-1-x
+    x = np.arange(Lx * Ly) % Lx
+    ramp = np.diag(np.repeat(0.1 * x, 2) * np.tile([1.0, -1.0], Lx * Ly))
+    h = bdg.harmonics
+    h[0] = h[0] + ramp
+    broken = DrivenBdG(h, bdg.omega, bdg.mirror)
+    with pytest.raises(ValueError, match="harmonic 0 breaks the mirror"):
+        assemble_sambe(broken, 2)
+    # without the mirror the same operator is solved complex
+    assert assemble_sambe(DrivenBdG(h, bdg.omega), 2).matrix.dtype == complex
+
+
+def test_mirror_must_be_a_symmetric_involution():
+    with pytest.raises(ValueError, match="signed involution"):
+        lattice.Mirror([1, 2, 0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="signed involution"):
+        lattice.Mirror([1, 0], [1.0, -1.0])
+    with pytest.raises(ValueError, match="mirror of size 4 on dim 8"):
+        DrivenBdG({0: np.eye(8)}, W, lattice.x_mirror(2, 1))
 
 
 def test_zone_count_mismatch_raises():
@@ -143,14 +206,16 @@ def test_cutoff_3_counts_on_seeded_lattices():
 
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg, scipy.special and scipy.integrate each add ~0.1 s to an
-    # import; only the calls that need them (a Sambe solve, a conductance)
-    # load them, so commands and studies that never make one do not pay
+    # import, and scipy.sparse ~0.3 s; only the calls that need them (a
+    # Sambe solve, a conductance) load them, so commands and studies that
+    # never make one do not pay
     code = (
         "import importlib, pkgutil, sys, cornerlab\n"
         "names = [m.name for m in pkgutil.iter_modules(cornerlab.__path__)]\n"
         "for name in names:\n"
         "    importlib.import_module('cornerlab.' + name)\n"
-        "heavy = ('scipy.linalg', 'scipy.special', 'scipy.integrate')\n"
+        "heavy = ('scipy.linalg', 'scipy.special', 'scipy.integrate',\n"
+        "         'scipy.sparse')\n"
         "print(' '.join(names))\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
     )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerlab import lattice
+from cornerlab import floquet, lattice
 from cornerlab.lattice import (
     LatticeParams,
     build_momentum_bdg,
@@ -193,3 +193,32 @@ def test_harmonics_export_round_trip(tmp_path):
     for m in (-1, 0, 1):
         assert np.abs(np.asarray(back.component(m))
                       - np.asarray(bdg.component(m))).max() == 0
+    # the mirror survives, so the reloaded operator still solves real
+    assert np.array_equal(back.mirror.perm, bdg.mirror.perm)
+    assert np.array_equal(back.mirror.sign, bdg.mirror.sign)
+    spectra = []
+    for op in (bdg, back):
+        sm = floquet.assemble_sambe(op, 3)
+        assert sm.matrix.dtype == np.float64
+        spectra.append(floquet.quasienergy_spectrum(sm).quasienergies)
+    assert np.array_equal(*spectra)
+    # an operator without a mirror reloads without one
+    plain = lattice.DrivenBdG(bdg.harmonics, bdg.omega)
+    plain.save_npz(path)
+    assert lattice.DrivenBdG.load_npz(path).mirror is None
+
+
+@pytest.mark.parametrize("boundary", lattice.BOUNDARIES)
+def test_x_mirror_is_antiunitary_symmetry(boundary, rng):
+    # R h^(m)* R = h^(m) for every harmonic, with (R v)[a] = s[a] v[p[a]]
+    for shape in ((2, 2), (3, 2)):
+        bdg = build_realspace_bdg(
+            random_params(rng, Nx=shape[0], Ny=shape[1], boundary=boundary))
+        p, s = bdg.mirror.perm, bdg.mirror.sign
+        for h in bdg.harmonics.values():
+            assert np.array_equal(s[:, None] * s * h[np.ix_(p, p)].conj(), h)
+    chain = kitaev_chain_bdg(5, 0.7, 0.4, 0.3, 0.9)
+    p, s = chain.mirror.perm, chain.mirror.sign
+    assert p[4] == 4 and p[5] == 5          # the middle site is its own image
+    for h in chain.harmonics.values():
+        assert np.array_equal(s[:, None] * s * h[np.ix_(p, p)].conj(), h)
