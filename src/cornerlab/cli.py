@@ -117,17 +117,26 @@ def _count(sec: dict, section: str, key: str, default: int | None,
     return val
 
 
+def _number(sec: dict, section: str, key: str, default: float) -> float:
+    """A JSON number config value."""
+    val = sec.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{section}.{key} must be a number, got {val!r}")
+    return float(val)
+
+
 def _spectrum_of(cfg: dict):
     params = lattice_from_config(cfg)
     sambe_cfg = cfg.get("sambe", {})
     cutoff = _count(sambe_cfg, "sambe", "cutoff", 6)
+    tols = {key: _number(sambe_cfg, "sambe", key, None)
+            for key in ("tol_zero", "tol_pi") if key in sambe_cfg}
+    for key, tol in tols.items():
+        if not tol > 0:
+            raise ConfigError(f"sambe.{key} must be positive, got {tol}")
     bdg = build_realspace_bdg(params)
     sm = floquet.assemble_sambe(bdg, cutoff)
-    spec = floquet.quasienergy_spectrum(
-        sm,
-        tol_zero=sambe_cfg.get("tol_zero"),
-        tol_pi=sambe_cfg.get("tol_pi"),
-    )
+    spec = floquet.quasienergy_spectrum(sm, **tols)
     return params, spec
 
 
@@ -155,7 +164,7 @@ def cmd_spectrum(cfg: dict, out: Path, fmt: str) -> int:
 
 
 def cmd_modes(cfg: dict, out: Path, fmt: str) -> int:
-    frac = float(cfg.get("modes", {}).get("corner_frac", 0.25))
+    frac = _number(cfg.get("modes", {}), "modes", "corner_frac", 0.25)
     if not 0 < frac <= 0.5:
         raise ConfigError(f"modes.corner_frac must lie in (0, 0.5], got {frac}")
     params, spec = _spectrum_of(cfg)
@@ -266,13 +275,29 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
 def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
     sec = cfg.get("readout", {})
     parity_text = sec.get("parity", "i g01 g02")
-    parity = majorana.parse_string(parity_text)
-    couplings = {int(k): complex(v) for k, v in
-                 sec.get("couplings", readout.DEFAULT_COUPLINGS).items()}
-    eps = (float(sec.get("eps_plus", 1.0)), float(sec.get("eps_minus", 1.0)))
-    direct = complex(sec.get("direct", readout.DEFAULT_DIRECT))
-    flux0 = float(sec.get("flux0", 0.0))
-    flux1 = float(sec.get("flux1", 0.0))
+    try:
+        parity = majorana.parse_string(parity_text)
+        readout.config_for_parity(parity)
+    except (AttributeError, ValueError) as exc:
+        raise ConfigError("readout.parity must be a measurable Majorana "
+                          f"string, got {parity_text!r}: {exc}") from exc
+    try:
+        couplings = {int(k): complex(v) for k, v in
+                     sec.get("couplings", readout.DEFAULT_COUPLINGS).items()}
+        direct = complex(sec.get("direct", readout.DEFAULT_DIRECT))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"readout.couplings and readout.direct must be "
+                          f"numbers: {exc}") from exc
+    if set(couplings) != {1, 2, 3, 4}:
+        raise ConfigError("readout.couplings must give corners 1..4, got "
+                          f"{sorted(couplings)}")
+    eps = (_number(sec, "readout", "eps_plus", 1.0),
+           _number(sec, "readout", "eps_minus", 1.0))
+    for key, val in zip(("eps_plus", "eps_minus"), eps):
+        if val == 0:
+            raise ConfigError(f"readout.{key} must be nonzero")
+    flux0 = _number(sec, "readout", "flux0", 0.0)
+    flux1 = _number(sec, "readout", "flux1", 0.0)
 
     if len(parity) == 4:
         cfg4 = readout.config_for_parity(parity, couplings, eps, direct,
@@ -301,8 +326,8 @@ def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
     var = sec.get("sweep_variable", "flux0")
     if var not in ("flux0", "flux1"):
         raise ConfigError("sweep_variable must be flux0 or flux1")
-    start = float(sec.get("sweep_start", 0.0))
-    stop = float(sec.get("sweep_stop", 2 * np.pi))
+    start = _number(sec, "readout", "sweep_start", 0.0)
+    stop = _number(sec, "readout", "sweep_stop", 2 * np.pi)
     points = _count(sec, "readout", "sweep_points", 41)
     rows = []
     for val in np.linspace(start, stop, points):
@@ -344,8 +369,15 @@ def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
 
 def cmd_ptcheck(cfg: dict, out: Path, fmt: str) -> int:
     sec = cfg.get("ptcheck", {})
-    lambdas = [float(x) for x in sec.get(
-        "lambdas", list(np.geomspace(1e-2, 1e-1, 6)))]
+    lambdas = sec.get("lambdas", list(np.geomspace(1e-2, 1e-1, 6)))
+    if not (isinstance(lambdas, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+            for x in lambdas) and len(set(lambdas)) >= 2):
+        raise ConfigError("ptcheck.lambdas must list at least two distinct "
+                          f"positive numbers, got {lambdas!r}")
+    lambdas = [float(x) for x in lambdas]
+    sites = _count(sec, "ptcheck", "expansion_sites", 60, low=40)
+    order = _count(sec, "ptcheck", "expansion_order", 3, low=0)
     rows = []
     for lam in lambdas:
         params = perturbation.TwoLeadParams(
@@ -360,8 +392,6 @@ def cmd_ptcheck(cfg: dict, out: Path, fmt: str) -> int:
     slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
     write_rows(out / "ptcheck_scaling", ["lambda", "abs_error"], rows, fmt)
 
-    sites = int(sec.get("expansion_sites", 60))
-    order = int(sec.get("expansion_order", 3))
     hist = _expansion_report(sites, order)
     write_rows(out / "ptcheck_residuals", ["order", "residual"],
                [[k, r] for k, r in enumerate(hist)], fmt)
@@ -388,7 +418,7 @@ def _expansion_report(sites: int, order: int):
     )
 
     omega = 2 * np.pi
-    bdg = kitaev_chain_bdg(max(sites, 40), J=1.2, Delta=1.2,
+    bdg = kitaev_chain_bdg(sites, J=1.2, Delta=1.2,
                            mu0=1.0, mu1=0.5, omega=omega)
     a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
     a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))

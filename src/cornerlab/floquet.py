@@ -214,22 +214,6 @@ def quasienergy_spectrum(
     )
 
 
-def find_majorana_modes(
-    spec: SpectrumResult, tol_zero: float | None = None, tol_pi: float | None = None
-) -> list[FloquetMode]:
-    """Modes tagged zero/pi within the requested tolerances.
-
-    Tolerances can only be tightened relative to the windows used when the
-    spectrum was computed (eigenvectors outside those were not retained).
-    """
-    t0 = spec.tol_zero if tol_zero is None else tol_zero
-    tpi = spec.tol_pi if tol_pi is None else tol_pi
-    if t0 > spec.tol_zero or tpi > spec.tol_pi:
-        raise ValueError("cannot widen tolerances beyond the captured windows")
-    return [m for m in spec.modes
-            if species_of(m.quasienergy, spec.omega, t0, tpi) == m.species]
-
-
 def _site_probability(mode: FloquetMode) -> np.ndarray:
     """Per-site probability, summed over harmonics and the Nambu pair."""
     p = (np.abs(mode.components) ** 2).sum(axis=0)

@@ -30,7 +30,6 @@ i^p X^x Z^z with (S psi)[i] = i^p (-1)^{|(i^x) & z|} psi[i^x]
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -233,16 +232,6 @@ class FockState:
         if abs(val + 1) < 1e-10:
             return "odd"
         return "mixed"
-
-    def to_json(self) -> str:
-        pairs = [[float(a.real), float(a.imag)] for a in self.amplitudes]
-        return json.dumps({"amplitudes": pairs})
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockState":
-        data = json.loads(text)
-        amp = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(amp)
 
 
 @lru_cache(maxsize=1)

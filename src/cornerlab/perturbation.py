@@ -3,10 +3,10 @@
 Three layers:
 
 1. Generic machinery on any time-periodic Hermitian problem, phrased in
-   Sambe space: quasienergy corrections through third order for states
-   with no internal first-order matrix elements (the textbook formula with
-   time-averaged inner products), and a quasi-degenerate effective block
-   (Van Vleck form) that also tolerates first-order internal structure.
+   Sambe space: the quasi-degenerate effective block (Van Vleck form)
+   through third order.  It tolerates first-order internal structure, and
+   on a one-state cluster it is the textbook nondegenerate series with
+   time-averaged inner products.
 
 2. Lead-Majorana effective couplings: the co-tunneling amplitudes
    T^(00), T^(pipi), T^(0pi) between two single-level leads mediated by a
@@ -91,78 +91,6 @@ class PerturbationProblem:
 
 # unperturbed Sambe levels closer than this to the cluster center belong to it
 DEGENERACY_TOL = 1e-8
-
-
-@dataclass
-class CorrectionResult:
-    eps0: np.ndarray           # unperturbed quasienergies of the cluster
-    delta: np.ndarray          # corrections through the requested order
-    second: np.ndarray
-    third: np.ndarray
-    rotation: np.ndarray       # cluster pre-rotation (columns = new basis)
-
-
-def quasienergy_corrections(
-    problem: PerturbationProblem,
-    cluster: np.ndarray,
-    order: int = 2,
-) -> CorrectionResult:
-    """Quasienergy corrections per the time-averaged perturbation series.
-
-    delta_j = lam^2 sum_{i} |V_ji|^2 / (e_j - e_i)
-            + lam^3 sum_{i,k} V_ji V_ik V_kj / ((e_j - e_i)(e_j - e_k)),
-    sums excluding the near-degenerate cluster.  Requires the cluster to
-    carry no first-order structure: <j|V|j'> must vanish within the cluster
-    after the pre-rotation that diagonalizes the second-order block (the
-    closed-form phase choices of the degenerate bases become this
-    rotation numerically); elements above 1e-10 of max |V| raise.
-    """
-    if order not in (2, 3):
-        raise ValueError(f"order must be 2 or 3, got {order}")
-    cluster = np.asarray(cluster, dtype=int)
-    eps = problem.eps0
-    V = problem.v_matrix
-    center = float(eps[cluster].mean())
-    outside = np.nonzero(np.abs(eps - center) > DEGENERACY_TOL)[0]
-
-    vblock = V[np.ix_(cluster, cluster)]
-    scale = max(np.abs(V).max(), 1e-300)
-    worst = np.abs(vblock).max()
-    if worst > 1e-10 * scale:
-        a, b = np.unravel_index(np.abs(vblock).argmax(), vblock.shape)
-        raise ValueError(
-            "cluster carries first-order matrix elements: "
-            f"|<{cluster[a]}|V|{cluster[b]}>| = {worst:.3e}"
-        )
-
-    # second-order block at the cluster center, then rotate it diagonal
-    vout = V[np.ix_(cluster, outside)]
-    denom = center - eps[outside]
-    m2 = (vout * (1.0 / denom)) @ vout.conj().T
-    m2 = (m2 + m2.conj().T) / 2
-    evals2, rot = np.linalg.eigh(m2)
-
-    # verify the rotated second-order off-diagonals vanish
-    m2r = rot.conj().T @ m2 @ rot
-    off = np.abs(m2r - np.diag(np.diag(m2r))).max()
-    if off > 1e-10 * max(np.abs(evals2).max(), 1e-300):
-        raise ValueError(f"second-order block not diagonalizable to 1e-10: {off:.3e}")
-
-    second = problem.lam**2 * evals2
-    third = np.zeros_like(second)
-    if order == 3:
-        vrot = rot.conj().T @ vout            # cluster(rotated) x outside
-        mid = V[np.ix_(outside, outside)]
-        for j in range(cluster.size):
-            w = vrot[j] / (eps[cluster][j] - eps[outside])
-            third[j] = problem.lam**3 * float(np.real(np.dot(w, mid @ np.conj(w))))
-    return CorrectionResult(
-        eps0=eps[cluster].copy(),
-        delta=second + third,
-        second=second,
-        third=third,
-        rotation=rot,
-    )
 
 
 def effective_hamiltonian(
@@ -298,15 +226,6 @@ def lead_effective_coupling(params: TwoLeadParams) -> tuple[str, dict[int, compl
 REGISTER_DIM = 3      # particle numbers N-1, N, N+1
 
 
-def _register_ops(eps_plus: float, eps_minus: float) -> tuple[np.ndarray, np.ndarray]:
-    """(charging Hamiltonian, lowering operator e^{-i phi}) on (N-1, N, N+1)."""
-    h_charge = np.diag([-eps_minus, 0.0, -eps_plus]).astype(complex)
-    lower = np.zeros((3, 3), dtype=complex)
-    lower[0, 1] = 1.0
-    lower[1, 2] = 1.0
-    return h_charge, lower
-
-
 @dataclass
 class ToyModel:
     """Exact lead-Majorana Fock model, static by construction: its one
@@ -327,59 +246,76 @@ class ToyModel:
         return np.linalg.eigh(self.harmonics[0])
 
 
-def two_lead_toy(params: TwoLeadParams, scale: float = 1.0) -> ToyModel:
-    """Exact Fock model of two leads + one MZM pair + one MPM pair + the
-    3-state particle-number register.  `scale` multiplies every coupling
-    (lambda-bars and the direct link) for scaling studies.  The model is
-    static: a coupling at an omega/2 harmonic other than 0 raises."""
-    n_modes = 4                      # lead_i, lead_j, f_zero, f_pi
+def _toy(n_leads: int, eps_plus: float, eps_minus: float,
+         tunnel: list[tuple[int, int, complex]],
+         links: list[tuple[int, int, complex]],
+         parities: dict[str, tuple[int, int]],
+         onsite: np.ndarray | None = None) -> ToyModel:
+    """Exact Fock model of `n_leads` single-level leads, two fermion modes
+    split into Majoranas gamma_0..gamma_3 (gamma_2k + i gamma_2k+1 = 2 f_k),
+    and the 3-state particle-number register (N-1, N, N+1) charged at
+    (-eps_-, 0, -eps_+).
+
+    tunnel: (lead, k, amp) adds amp d_lead^dag gamma_k e^{-i phi} + h.c.;
+    links: (a, b, amp) adds amp d_b^dag d_a + h.c.; parities: name ->
+    (k, l) is i gamma_k gamma_l; `onsite` is a fermion-space term.  The
+    charge is n_leads + N_register."""
+    n_modes = n_leads + 2
     dim_f = 2**n_modes
     cs = fock.jw_annihilators(n_modes)
-    d_i, d_j = cs[0], cs[1]
-    g0i, g0j = fock.majorana_pair(n_modes, 2)
-    gpi, gpj = fock.majorana_pair(n_modes, 3)
-    n_i = fock.number_op(n_modes, 0)
-    n_j = fock.number_op(n_modes, 1)
-    n_pi = fock.number_op(n_modes, 3)
-
-    h_charge, lower = _register_ops(params.eps_plus, params.eps_minus)
+    gam = [g for k in range(n_leads, n_modes) for g in fock.majorana_pair(n_modes, k)]
+    h_charge = np.diag([-eps_minus, 0.0, -eps_plus]).astype(complex)
+    lower = np.zeros((REGISTER_DIM, REGISTER_DIM), dtype=complex)   # e^{-i phi}
+    lower[0, 1] = 1.0
+    lower[1, 2] = 1.0
     ident_r = np.eye(REGISTER_DIM)
 
-    w = params.omega
-    H = (
-        np.kron(params.n_i * w / 2 * n_i + params.n_j * w / 2 * n_j
-                + (w / 2) * n_pi, ident_r)
-        + np.kron(np.eye(dim_f), h_charge)
+    H = np.kron(np.eye(dim_f), h_charge)
+    if onsite is not None:
+        H = np.kron(onsite, ident_r) + H
+    for lead, k, amp in tunnel:
+        term = amp * np.kron(cs[lead].conj().T @ gam[k], lower)
+        H = H + term + term.conj().T
+    for a, b, amp in links:
+        link = amp * np.kron(cs[b].conj().T @ cs[a], ident_r)
+        H = H + link + link.conj().T
+
+    n_leads_op = sum(fock.number_op(n_modes, k) for k in range(n_leads))
+    charge = np.kron(n_leads_op, ident_r) + np.kron(np.eye(dim_f),
+                                                    np.diag([0.0, 1.0, 2.0]))
+    return ToyModel(
+        harmonics={0: H},
+        charge_op=charge,
+        parity_ops={name: np.kron(1j * gam[k] @ gam[l], ident_r)
+                    for name, (k, l) in parities.items()},
     )
-    gammas = {("0", "i"): g0i, ("0", "j"): g0j,
-              ("pi", "i"): gpi, ("pi", "j"): gpj}
-    leads = {"i": d_i, "j": d_j}
-    for lead, coupling in (("i", params.coupling_i), ("j", params.coupling_j)):
+
+
+def two_lead_toy(params: TwoLeadParams, scale: float = 1.0) -> ToyModel:
+    """Exact Fock model of two leads + one MZM pair (gamma_0, gamma_1) + one
+    MPM pair (gamma_2, gamma_3) + the 3-state particle-number register.
+    `scale` multiplies every coupling (lambda-bars and the direct link)
+    for scaling studies.  The model is static: a coupling at an omega/2
+    harmonic other than 0 raises."""
+    tunnel = []
+    for lead, coupling in enumerate((params.coupling_i, params.coupling_j)):
         for (species, n), lam in coupling.items():
             if n != 0:
                 raise ValueError(
                     f"toy model is static: coupling ({species!r}, {n}) of "
-                    f"lead {lead} sits at harmonic {n}")
-            term = scale * lam * np.kron(leads[lead].conj().T
-                                         @ gammas[(species, lead)], lower)
-            H = H + term + term.conj().T
-
+                    f"lead {'ij'[lead]} sits at harmonic {n}")
+            tunnel.append((lead, {"0": 0, "pi": 2}[species] + lead, scale * lam))
+    links = []
     if params.direct != 0:
         if params.flux1 != 0:
             raise ValueError("toy oracle supports static flux only")
-        link = scale * params.direct * np.exp(1j * params.flux0) \
-            * np.kron(d_j.conj().T @ d_i, ident_r)
-        H = H + link + link.conj().T
-
-    charge = np.kron(n_i + n_j, ident_r) + np.kron(np.eye(dim_f),
-                                                   np.diag([0.0, 1.0, 2.0]))
-    parity0 = np.kron(1j * g0i @ g0j, ident_r)
-    paritypi = np.kron(1j * gpi @ gpj, ident_r)
-    return ToyModel(
-        harmonics={0: H},
-        charge_op=charge,
-        parity_ops={"zero": parity0, "pi": paritypi},
-    )
+        links.append((0, 1, scale * params.direct * np.exp(1j * params.flux0)))
+    w = params.omega
+    onsite = (params.n_i * w / 2 * fock.number_op(4, 0)
+              + params.n_j * w / 2 * fock.number_op(4, 1)
+              + (w / 2) * fock.number_op(4, 3))         # the f_pi mode
+    return _toy(2, params.eps_plus, params.eps_minus, tunnel, links,
+                {"zero": (0, 1), "pi": (2, 3)}, onsite)
 
 
 def _cluster_states(toy: ToyModel, window: float) -> list[tuple[float, np.ndarray]]:
@@ -561,36 +497,11 @@ def four_lead_effective(params: FourLeadParams) -> FourLeadAmplitude:
 def four_lead_toy(params: FourLeadParams, scale: float = 1.0) -> ToyModel:
     """Exact Fock model: 4 leads + 4 zero-mode Majoranas (modes (g01,g02)
     and (g03,g04)) + the particle-number register.  Static."""
-    n_modes = 6        # leads 1..4, f_12, f_34
-    dim_f = 2**n_modes
-    cs = fock.jw_annihilators(n_modes)
-    g01, g02 = fock.majorana_pair(n_modes, 4)
-    g03, g04 = fock.majorana_pair(n_modes, 5)
-    gam = {1: g01, 2: g02, 3: g03, 4: g04}
-    h_charge, lower = _register_ops(params.eps_plus, params.eps_minus)
-    ident_r = np.eye(REGISTER_DIM)
-
-    H = np.kron(np.eye(dim_f), h_charge)
-    for s in range(1, 5):
-        term = scale * params.couplings[s] * (cs[s - 1].conj().T @ gam[s])
-        coupling = np.kron(term, lower)
-        H += coupling + coupling.conj().T
-    for (a, b, tilde) in ((1, 2, scale * params.tilde12()),
-                          (3, 4, scale * params.tilde43())):
-        link = np.conj(tilde) * (cs[b - 1].conj().T @ cs[a - 1])
-        link = np.kron(link, ident_r)
-        H += link + link.conj().T
-
-    n_leads = sum(fock.number_op(n_modes, k) for k in range(4))
-    charge = np.kron(n_leads, ident_r) + np.kron(np.eye(dim_f),
-                                                 np.diag([0.0, 1.0, 2.0]))
-    parity12 = np.kron(1j * g01 @ g02, ident_r)
-    parity34 = np.kron(1j * g03 @ g04, ident_r)
-    return ToyModel(
-        harmonics={0: H},
-        charge_op=charge,
-        parity_ops={"p12": parity12, "p34": parity34},
-    )
+    tunnel = [(s - 1, s - 1, scale * params.couplings[s]) for s in range(1, 5)]
+    links = [(0, 1, np.conj(scale * params.tilde12())),
+             (2, 3, np.conj(scale * params.tilde43()))]
+    return _toy(4, params.eps_plus, params.eps_minus, tunnel, links,
+                {"p12": (0, 1), "p34": (2, 3)})
 
 
 # --------------------------------------------------------------------------
@@ -668,6 +579,12 @@ def pi_mode_seeds(a0: np.ndarray, a1: np.ndarray, omega: float,
     return seeds
 
 
+def _nu(m: int, species: str) -> float:
+    """Frequency of expansion component m in units of omega: m for zero
+    modes, m - 1/2 for pi modes (period 2T)."""
+    return m - 0.5 if species == "pi" else float(m)
+
+
 @dataclass
 class ModeExpansion:
     """Fourier components of a candidate Majorana operator.
@@ -684,7 +601,7 @@ class ModeExpansion:
     residual_history: list[float]
 
     def frequency(self, m: int) -> float:
-        return (m - 0.5) * self.omega if self.species == "pi" else m * self.omega
+        return _nu(m, self.species) * self.omega
 
     def at_time(self, t: float) -> np.ndarray:
         out = 0
@@ -707,7 +624,6 @@ def _expansion_residual(
     omega: float, species: str,
 ) -> dict[int, np.ndarray]:
     """Components of [H - i d/dt, gamma] on the expansion's frequency grid."""
-    nu = (lambda m: m - 0.5) if species == "pi" else (lambda m: float(m))
     ms = sorted(comp)
     lo, hi = ms[0] - 1, ms[-1] + 1
     res = {}
@@ -717,7 +633,7 @@ def _expansion_residual(
         vp = comp.get(m + 1)
         acc = np.zeros(a0.shape[0], dtype=complex)
         if v is not None:
-            acc = acc + 1j * (a0 @ v) + nu(m) * omega * v
+            acc = acc + 1j * (a0 @ v) + _nu(m, species) * omega * v
         if vm is not None:
             acc = acc + 0.5j * (a1 @ vm)
         if vp is not None:
@@ -771,7 +687,6 @@ def majorana_mode_expansion(
                 f"near-kernel dimension is {kdim}"
             )
         comp = {0: np.array(seed, dtype=complex)}
-        resonant = {0: 0.0}
     else:
         lhs = 1j * (a0 @ seed) + 0.5j * (a1 @ seed.conj()) - (omega / 2) * seed
         if np.linalg.norm(lhs) > seed_tol * omega:
@@ -781,9 +696,7 @@ def majorana_mode_expansion(
             )
         comp = {0: np.array(seed, dtype=complex),
                 1: np.array(seed.conj(), dtype=complex)}
-        resonant = {0: -omega / 2, 1: omega / 2}
 
-    nu = (lambda m: m - 0.5) if species == "pi" else (lambda m: float(m))
     spec_a0 = np.linalg.eigvalsh(1j * a0)
     res = _expansion_residual(comp, a0, a1, omega, species)
     history = [_residual_norm(res)]
@@ -807,11 +720,12 @@ def majorana_mode_expansion(
                 # zero modes at gapless points) the solve is trimmed:
                 # singular directions below 0.1 * omega are
                 # dropped, leaving the irreducible part of the residual.
-                op = 1j * a0 + nu(m) * omega * np.eye(n)
-                dists = np.abs(spec_a0 + nu(m) * omega)
+                nu = _nu(m, species)
+                op = 1j * a0 + nu * omega * np.eye(n)
+                dists = np.abs(spec_a0 + nu * omega)
                 # at nu = 0 only the (near-)kernel needs protecting; at
                 # band-resonant nu != 0 trim at 0.1 * omega
-                sigma_min = 1e-6 * omega if nu(m) == 0 else 0.1 * omega
+                sigma_min = 1e-6 * omega if nu == 0 else 0.1 * omega
                 if dists.min() >= 2 * sigma_min:
                     delta = np.linalg.solve(op, -r)
                 else:
@@ -823,8 +737,7 @@ def majorana_mode_expansion(
         res = _expansion_residual(comp, a0, a1, omega, species)
         history.append(_residual_norm(res))
 
-    return ModeExpansion(species=species, omega=omega,
-                         components={m: v for m, v in comp.items()},
+    return ModeExpansion(species=species, omega=omega, components=comp,
                          residual_history=history)
 
 

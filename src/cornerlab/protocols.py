@@ -461,11 +461,6 @@ class BranchReport:
     branch_probabilities: dict[tuple[int, ...], float]
     covered: bool
 
-    def __str__(self):
-        return (f"{self.protocol}: {self.n_reachable}/{self.n_branches} branches "
-                f"reachable, min fidelity {self.min_fidelity:.3e}, "
-                f"corrections covered: {self.covered}")
-
 
 def enumerate_branches(
     protocol: str,

@@ -31,6 +31,7 @@ from cornerlab import majorana as mj
 from cornerlab.majorana import FockState, MajoranaString, g, string
 from cornerlab.lattice import TWO_PI
 from cornerlab.perturbation import (
+    FourLeadAmplitude,
     FourLeadParams,
     TwoLeadParams,
     four_lead_effective,
@@ -211,61 +212,45 @@ def joint_conductance(
     return ConductanceResult(value=value, decomposition=terms, species_pair="00")
 
 
-def _interference_coefficient(params: FourLeadParams, which: str) -> float:
-    """Signed coefficient of p12 (which='a1') or p34 ('a2') in the joint
-    conductance at unit parity values."""
-    cfg = LeadConfig(
-        leads=tuple(LeadId(s, "a", 0) for s in range(1, 5)),
-        measured=string(1, [g("0", c) for c in range(1, 5)]),
-        four_lead=params,
-    )
-    key = "a1_term" if which == "a1" else "a2_term"
-    up = joint_conductance(cfg, (1.0, 1.0), p1234=0.0).decomposition[key]
-    return up
+def _interference(amp: FourLeadAmplitude) -> tuple[float, float, float]:
+    """(a1, a2, a3): the coefficients of p12, p34 and p1234 in the joint
+    conductance, read off h1234 = c14 g01 g04 + c24 g02 g04 + c13 g01 g03."""
+    return (2 * np.imag(np.conj(amp.c14) * amp.c24),
+            -2 * np.imag(np.conj(amp.c14) * amp.c13),
+            2 * np.real(np.conj(amp.c24) * amp.c13))
 
 
 def tune_fluxes(cfg: LeadConfig) -> tuple[float, float]:
     """Fluxes (Phi_12, Phi_43) that null the single-pair interference terms
     while maximizing the four-Majorana term.
 
-    The a1 (a2) coefficient is sinusoidal in Phi_12 (Phi_43); its zeros are
-    found analytically from two samples and the branch is chosen to
-    maximize the a3 coefficient.  Verified: |a1| + |a2| < 1e-10 * a3.
+    a1 depends on Phi_12 alone (through c24) and a2 on Phi_43 alone
+    (through c13), each sinusoidally; the branch pair of their zeros with
+    the largest a3 wins.  Verified through `joint_conductance`:
+    |a1| + |a2| < 1e-10 * a3.
     """
     params = cfg.four_lead
     if params is None:
         raise ValueError("not a four-lead configuration")
 
-    def with_flux(phi12, phi43):
-        return dataclasses.replace(params, flux12=phi12, flux43=phi43)
+    def coeffs(phi12, phi43):
+        return _interference(four_lead_effective(
+            dataclasses.replace(params, flux12=phi12, flux43=phi43)))
 
-    def coeff(which, phi12, phi43):
-        return _interference_coefficient(with_flux(phi12, phi43), which)
-
-    def zeros_of(which, other):
-        # c(phi) = alpha cos(phi) + beta sin(phi)
-        if which == "a1":
-            c0, c90 = coeff("a1", 0.0, other), coeff("a1", np.pi / 2, other)
-        else:
-            c0, c90 = coeff("a2", other, 0.0), coeff("a2", other, np.pi / 2)
-        root = np.arctan2(-c0, c90)
-        return root, root + np.pi
-
-    # a1 depends only on phi12, a2 only on phi43 (verified by construction)
-    r12 = zeros_of("a1", 0.0)
-    r43 = zeros_of("a2", 0.0)
-    best = None
-    for phi12 in r12:
-        for phi43 in r43:
-            p = with_flux(phi12, phi43)
-            c = LeadConfig(leads=cfg.leads, measured=cfg.measured, four_lead=p)
-            a3 = joint_conductance(c, (1.0, 1.0), p1234=1.0).decomposition["a3_term"]
-            if best is None or a3 > best[0]:
-                best = (a3, phi12, phi43)
-    a3, phi12, phi43 = best
+    # a(phi) = a(0) cos(phi) + a(pi/2) sin(phi) vanishes at phi = root, root + pi
+    a1_0, a2_0, _ = coeffs(0.0, 0.0)
+    r12 = np.arctan2(-a1_0, coeffs(np.pi / 2, 0.0)[0])
+    r43 = np.arctan2(-a2_0, coeffs(0.0, np.pi / 2)[1])
+    # the first maximum in candidate order
+    a3, phi12, phi43 = max(((coeffs(p12, p43)[2], p12, p43)
+                            for p12 in (r12, r12 + np.pi)
+                            for p43 in (r43, r43 + np.pi)), key=lambda c: c[0])
     if abs(a3) < 1e-14:
         raise ValueError("degenerate configuration: four-Majorana term vanishes")
-    resid = abs(coeff("a1", phi12, phi43)) + abs(coeff("a2", phi12, phi43))
+    tuned = LeadConfig(cfg.leads, cfg.measured, four_lead=dataclasses.replace(
+        params, flux12=phi12, flux43=phi43))
+    terms = joint_conductance(tuned, (1.0, 1.0), p1234=0.0).decomposition
+    resid = abs(terms["a1_term"]) + abs(terms["a2_term"])
     if resid > 1e-10 * abs(a3):
         raise RuntimeError(f"flux tuning failed: residual {resid:.3e} vs a3 {a3:.3e}")
     return float(phi12), float(phi43)

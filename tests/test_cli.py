@@ -74,7 +74,22 @@ def test_config_validation(tmp_path):
             ("readout", "readout", "sweep_points", 0),
             ("spectrum", "sambe", "cutoff", 0),
             ("modes", "modes", "corner_frac", 0.0),
-            ("modes", "modes", "corner_frac", 0.6)):
+            ("modes", "modes", "corner_frac", 0.6),
+            ("modes", "modes", "corner_frac", "x"),
+            ("spectrum", "sambe", "tol_zero", "x"),
+            ("spectrum", "sambe", "tol_pi", "x"),
+            ("spectrum", "sambe", "tol_zero", -1e-3),
+            ("spectrum", "sambe", "tol_pi", -1e-3),
+            ("readout", "readout", "eps_plus", "x"),
+            ("readout", "readout", "eps_plus", 0),
+            ("readout", "readout", "eps_minus", 0),
+            ("readout", "readout", "couplings", {"1": 0.05, "2": 0.05,
+                                                 "3": 0.05}),
+            ("readout", "readout", "parity", "i g01 gx9"),
+            ("ptcheck", "ptcheck", "expansion_sites", "x"),
+            ("ptcheck", "ptcheck", "expansion_sites", 39),
+            ("ptcheck", "ptcheck", "lambdas", [0.05]),
+            ("ptcheck", "ptcheck", "lambdas", [0.05, 0.05])):
         cfg = dict(KITAEV, protocol={"id": "cnot", "mode": "sample",
                                      "seed": 5})
         cfg[section] = dict(cfg.get(section, {}), **{key: val})

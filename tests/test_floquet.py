@@ -11,7 +11,6 @@ from cornerlab.floquet import (
     convergence_check,
     corner_basis_rotation,
     corner_localization,
-    find_majorana_modes,
     fourier_weight_profile,
     quasienergy_spectrum,
 )
@@ -283,15 +282,6 @@ def test_benchmark_mode_counts(bench_spectrum):
     gap0, gappi = bench_spectrum.gaps
     assert gap0 > 10 * bench_spectrum.tol_zero
     assert gappi > 10 * bench_spectrum.tol_pi
-
-
-def test_find_majorana_modes_tightening(bench_spectrum):
-    all_modes = find_majorana_modes(bench_spectrum)
-    assert len(all_modes) == 8
-    tight = find_majorana_modes(bench_spectrum, tol_zero=1e-9, tol_pi=1e-9)
-    assert len(tight) == 0
-    with pytest.raises(ValueError):
-        find_majorana_modes(bench_spectrum, tol_zero=1.0)
 
 
 def test_corner_rotation_localizes(bench_params, bench_spectrum):

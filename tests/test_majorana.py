@@ -10,7 +10,6 @@ from cornerlab import majorana as mj
 from cornerlab.majorana import (
     ALL_LABELS,
     DIM,
-    FockState,
     IDENTITY,
     MajoranaString,
     TOTAL_PARITY,
@@ -255,12 +254,6 @@ def test_probabilities_sum_to_one(rng):
 def test_total_parity_on_even_sector(rng):
     state = encode_logical(rand_qubit(rng), rand_qubit(rng), rand_qubit(rng))
     assert expectation(state, TOTAL_PARITY) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fockstate_json_round_trip(rng):
-    state = encode_logical(rand_qubit(rng), rand_qubit(rng), rand_qubit(rng))
-    back = FockState.from_json(state.to_json())
-    assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-15
 
 
 def test_parse_and_format():

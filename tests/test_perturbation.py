@@ -19,7 +19,6 @@ from cornerlab.perturbation import (
     pi_first_order_residual,
     pi_mode_seeds,
     quadratic_from_bdg,
-    quasienergy_corrections,
     signed_splitting,
     species_pair,
     two_lead_toy,
@@ -48,8 +47,9 @@ def test_static_two_level_second_order():
         h0={0: np.diag([0.0, D]).astype(complex)},
         v={0: np.array([[0, v], [v, 0]], dtype=complex)},
         omega=W, m_cutoff=0)
-    res = quasienergy_corrections(prob, prob.cluster_near(0.0, 1e-9), order=2)
-    assert res.second[0] == pytest.approx(-v**2 / D, abs=1e-14)
+    heff = effective_hamiltonian(prob, prob.cluster_near(0.0, 1e-9), order=2)
+    assert heff.shape == (1, 1)
+    assert heff[0, 0] == pytest.approx(-v**2 / D, abs=1e-14)
 
 
 def test_zero_perturbation_gives_zero_corrections():
@@ -57,17 +57,9 @@ def test_zero_perturbation_gives_zero_corrections():
         h0={0: np.diag([0.0, 1.0]).astype(complex)},
         v={0: np.zeros((2, 2), dtype=complex)},
         omega=W, m_cutoff=0)
-    res = quasienergy_corrections(prob, np.array([0]), order=3)
-    assert np.abs(res.delta).max() == 0
-
-
-def test_diagonal_precondition_error():
-    v = np.array([[0.5, 0.1], [0.1, 0.0]], dtype=complex)
-    prob = PerturbationProblem(
-        h0={0: np.diag([0.0, 2.0]).astype(complex)}, v={0: v},
-        omega=W, m_cutoff=0)
-    with pytest.raises(ValueError, match="first-order"):
-        quasienergy_corrections(prob, np.array([0]), order=2)
+    for order in (1, 2, 3):
+        heff = effective_hamiltonian(prob, np.array([0]), order=order)
+        assert heff[0, 0] - prob.eps0[0] == 0
 
 
 def test_random_driven_problem_second_order_slope():
@@ -89,8 +81,7 @@ def test_random_driven_problem_second_order_slope():
     for lam in lams:
         prob = PerturbationProblem(h0=h0, v=v, omega=W, m_cutoff=2, lam=lam)
         j = int(np.argmin(np.abs(prob.eps0 + 2.0)))
-        res = quasienergy_corrections(prob, np.array([j]), order=2)
-        pred = prob.eps0[j] + res.delta[0]
+        pred = effective_hamiltonian(prob, np.array([j]), order=2)[0, 0].real
         exact = prob.exact_quasienergies()
         errs.append(np.abs(exact - pred).min())
     slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
@@ -122,10 +113,15 @@ def test_effective_matches_corrections_without_internal_structure():
     prob = PerturbationProblem(h0={0: h0}, v={0: v}, omega=W, m_cutoff=0,
                                lam=0.05)
     cl = prob.cluster_near(0.0, 1e-9)
-    res = quasienergy_corrections(prob, cl, order=2)
-    heff = effective_hamiltonian(prob, cl, order=2)
-    ev = np.linalg.eigvalsh(heff)
-    assert np.abs(np.sort(ev) - np.sort(res.eps0 + res.second)).max() < 1e-12
+    assert cl.size == 2
+    # the textbook second-order block on the degenerate pair at E0 = 0,
+    # built from h0 and v directly: sum_k v_ik v_kj / (E0 - e_k)
+    inside, outside = [0, 1], [2, 3, 4]
+    e_out = np.diag(h0).real[outside]
+    block = 0.05**2 * (v[np.ix_(inside, outside)] / (0.0 - e_out)) \
+        @ v[np.ix_(outside, inside)]
+    ev = np.linalg.eigvalsh(effective_hamiltonian(prob, cl, order=2))
+    assert np.abs(ev - np.linalg.eigvalsh(block)).max() < 1e-12
 
 
 def test_effective_two_state_eigenvalues():

@@ -7,7 +7,7 @@ from scipy.special import jv
 from cornerlab import majorana as mj
 from cornerlab import readout as ro
 from cornerlab.majorana import encode_logical, g, pauli, string
-from cornerlab.perturbation import FourLeadParams
+from cornerlab.perturbation import FourLeadParams, four_lead_effective
 from cornerlab.readout import (
     LeadConfig,
     LeadId,
@@ -153,6 +153,21 @@ def test_tuned_flux_perturbation_grows_like_sine():
     vals = np.array([a1_at(d) for d in deltas])
     scale = vals[0] / np.sin(deltas[0])
     assert np.allclose(vals, scale * np.sin(deltas), rtol=1e-9)
+
+
+def test_interference_coefficients_match_joint_conductance():
+    # the closed forms tune_fluxes reads, against the Majorana-algebra
+    # expansion of <|h1234|^2>, signs included
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        lam = {s: 0.05 * complex(*rng.normal(size=2)) for s in range(1, 5)}
+        cfg = four_lead_cfg(couplings=lam, eps=tuple(rng.uniform(0.5, 2, 2)),
+                            direct=0.02 * complex(*rng.normal(size=2)),
+                            flux0=rng.uniform(0, 2 * np.pi))
+        closed = ro._interference(four_lead_effective(cfg.four_lead))
+        terms = joint_conductance(cfg, (1.0, 1.0), p1234=1.0).decomposition
+        for c, key in zip(closed, ("a1_term", "a2_term", "a3_term")):
+            assert c == pytest.approx(terms[key], rel=1e-14, abs=0)
 
 
 def test_tune_fluxes_degenerate_error():
