@@ -44,7 +44,6 @@ _SCHEMA = {
         "sweep_variable", "sweep_start", "sweep_stop", "sweep_points",
     },
     "ptcheck": {"lambdas", "expansion_sites", "expansion_order"},
-    "output": {"format"},
 }
 
 
@@ -253,7 +252,7 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
             run = protocols.run_protocol(pid, state, rng=rng,
                                          correction_mode=correction_mode)
             fid = protocols.logical_fidelity(
-                state, run, protocols.GATE_TARGETS[pid])
+                state, run, protocols.GATES[pid].target)
             worst = max(worst, 1.0 - fid)
             logs.append({
                 "steps": run.log(),
@@ -382,11 +381,10 @@ def cmd_ptcheck(cfg: dict, out: Path, fmt: str) -> int:
     for lam in lambdas:
         params = perturbation.TwoLeadParams(
             eps_plus=1.0, eps_minus=1.0, n_i=0, n_j=0,
-            coupling_i={("0", 0): 1.0}, coupling_j={("0", 0): 1.0},
-            direct=0.5, omega=2 * np.pi,
+            coupling_i={("0", 0): lam}, coupling_j={("0", 0): lam},
+            direct=0.5 * lam, omega=2 * np.pi,
         )
-        err = _two_lead_error(params, lam)
-        rows.append([lam, err])
+        rows.append([lam, _two_lead_error(params)])
     lams = np.array([r[0] for r in rows])
     errs = np.array([max(r[1], 1e-300) for r in rows])
     slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
@@ -404,11 +402,11 @@ def cmd_ptcheck(cfg: dict, out: Path, fmt: str) -> int:
     return 0
 
 
-def _two_lead_error(params, lam: float) -> float:
-    """|exact - effective| for the two-lead toy at coupling scale lam."""
-    exact = perturbation.verify_effective_model(params, scale=lam)
+def _two_lead_error(params) -> float:
+    """|exact - effective| for the two-lead toy."""
+    exact = perturbation.verify_effective_model(params)
     pred = np.abs(np.linalg.eigvalsh(
-        perturbation.effective_two_lead_block(params, +1, scale=lam))).max()
+        perturbation.effective_two_lead_block(params, +1))).max()
     return exact * max(pred, 1e-300)
 
 

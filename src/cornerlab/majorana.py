@@ -291,6 +291,10 @@ def expectation(state: FockState, s: MajoranaString) -> complex:
     return val
 
 
+class ImpossibleOutcome(ValueError):
+    """A forced measurement outcome whose probability is below 1e-14."""
+
+
 @dataclass
 class MeasureResult:
     outcome: int
@@ -307,7 +311,8 @@ def measure(
     """Born-rule measurement of a Hermitian +-1 parity string.
 
     Exactly one of `rng` (sample mode) and `force` (condition on an outcome)
-    must be given.  Forcing an outcome with probability < 1e-14 raises.
+    must be given.  Forcing an outcome with probability < 1e-14 raises
+    `ImpossibleOutcome`.
     """
     if not parity.is_hermitian():
         raise ValueError(f"{parity!r} is not a Hermitian parity string")
@@ -323,7 +328,7 @@ def measure(
         outcome = force
         prob = p_plus if outcome == 1 else 1 - p_plus
         if prob < 1e-14:
-            raise ValueError(
+            raise ImpossibleOutcome(
                 f"incompatible forced outcome {force:+d} for {parity!r} "
                 f"(probability {prob:.3e})"
             )

@@ -176,7 +176,7 @@ class TwoLeadParams:
             warnings.warn(
                 f"couplings ({lam_max:.3g}) exceed 10% of the blockade gap "
                 f"({gap:.3g}); perturbative treatment degrades",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -1,10 +1,11 @@
 """Measurement-only gate protocols on the three encoded qubits.
 
 Every gate is a short sequence of two- or four-Majorana parity
-measurements followed by an outcome-dependent Pauli/phase correction.
-Corrections can themselves be executed as forced-measurement protocols
-(faithful mode) or applied directly to the state (classical mode); both
-paths implement the same logical operator.
+measurements followed by an outcome-dependent Pauli/phase correction,
+listed once in the GATES table and run by one executor.  Corrections can
+themselves be executed as forced-measurement protocols (faithful mode)
+or applied directly to the state (classical mode); both paths implement
+the same logical operator.
 
 Branch conventions: outcomes are labeled by the measured sign of the
 listed Majorana string (not of a sigma-operator relabeling of it).  The
@@ -29,6 +30,7 @@ inconsistent (see the repository notes).  Pinned tables:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +38,13 @@ import numpy as np
 from cornerlab import majorana as mj
 from cornerlab.majorana import (
     FockState,
+    ImpossibleOutcome,
     MajoranaString,
     apply,
     decode_logical,
     encode_logical,
     g,
     measure,
-    multiply,
     pauli,
     string,
 )
@@ -56,7 +58,7 @@ XZ = {  # sigma_x^(j) sigma_z^(3) as a two-Majorana string (even sector)
     2: string(1j, [g("pi", 2), g("pi", 4)]),
 }
 ZZ = {  # sigma_z^(j) sigma_z^(3) as a two-Majorana string (even sector)
-    1: multiply(pauli("z", 1), pauli("z", 3)),          # -i g03 g04
+    1: string(-1j, [g("0", 3), g("0", 4)]),
     2: string(-1j, [g("pi", 3), g("pi", 4)]),
 }
 ZZ_PAPER = {  # the sign convention the Hadamard table is stated in
@@ -67,8 +69,6 @@ ZY = {  # the phase-gate middle measurement
     1: string(-1j, [g("0", 3), g("pi", 4)]),
     2: string(1j, [g("pi", 3), g("0", 4)]),
 }
-CNOT_STEPS = (X3, string(1j, [g("pi", 2), g("pi", 4)]),
-              string(1j, [g("0", 3), g("pi", 2)]), Z3)
 
 
 @dataclass(frozen=True)
@@ -102,284 +102,33 @@ class ProtocolRun:
         return p
 
     def log(self) -> list[dict]:
-        return [
-            {
-                "parity": mj.format_string(s.parity),
-                "outcome": s.outcome,
-                "probability": s.probability,
-                "retries": s.retries,
-            }
-            for s in self.steps
-        ]
+        return [{"parity": mj.format_string(s.parity), "outcome": s.outcome,
+                 "probability": s.probability, "retries": s.retries}
+                for s in self.steps]
 
 
 @dataclass(frozen=True)
-class GateSpec:
-    """Target unitary on the two logical qubits (4x4, basis b1 b2)."""
+class Gate:
+    """One measurement-only gate.
 
-    name: str
-    matrix: np.ndarray
-    qubits: tuple[int, ...]
+    `steps` are the free parity measurements, in order.  Their outcomes
+    pick a row of `table`: entry i of the row key is the product of the
+    outcomes of the steps listed in `key[i]`, and the row names the
+    corrections ("1", x_j, z_j, or p_j for the phase gate) in the order
+    they are applied.  With `until_flip`, steps[1] is repeated together
+    with a closing x3 until that x3 outcome flips the steps[0] outcome.
+    """
 
-    def __post_init__(self):
-        u = self.matrix
-        if not np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-12):
-            raise ValueError(f"{self.name}: target is not unitary")
+    target: np.ndarray                # 4x4 on the logical pair, basis b1 b2
+    steps: tuple[MajoranaString, ...]
+    key: tuple[tuple[int, ...], ...]
+    table: dict[tuple[int, ...], tuple[str, ...]]
+    until_flip: bool = False
+    ancilla: tuple | np.ndarray = (1.0, 0.0)    # qubit-3 input amplitudes
 
-
-def _q1(mat2: np.ndarray) -> np.ndarray:
-    return np.kron(mat2, np.eye(2))
-
-
-def _q2(mat2: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(2), mat2)
-
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-_T = np.diag([np.exp(-1j * np.pi / 8), np.exp(1j * np.pi / 8)])
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-GATE_TARGETS: dict[str, GateSpec] = {
-    "pauli-x1": GateSpec("pauli-x1", _q1(_X), (1,)),
-    "pauli-x2": GateSpec("pauli-x2", _q2(_X), (2,)),
-    "pauli-z1": GateSpec("pauli-z1", _q1(_Z), (1,)),
-    "pauli-z2": GateSpec("pauli-z2", _q2(_Z), (2,)),
-    "hadamard1": GateSpec("hadamard1", _q1(_H), (1,)),
-    "hadamard2": GateSpec("hadamard2", _q2(_H), (2,)),
-    "phase1": GateSpec("phase1", _q1(_S), (1,)),
-    "phase2": GateSpec("phase2", _q2(_S), (2,)),
-    "cnot": GateSpec("cnot", _CNOT, (1, 2)),
-    "tgate1": GateSpec("tgate1", _q1(_T), (1,)),
-    "tgate2": GateSpec("tgate2", _q2(_T), (2,)),
-}
-
-PROTOCOL_IDS = tuple(GATE_TARGETS)
-
-
-class _Executor:
-    """Runs one protocol instance: measurements, forced loops, corrections."""
-
-    def __init__(self, state: FockState, rng: np.random.Generator | None,
-                 forced: list[int] | None, correction_mode: str):
-        if correction_mode not in ("measured", "classical"):
-            raise ValueError(f"bad correction mode {correction_mode!r}")
-        if forced is None and rng is None:
-            raise ValueError("need an rng unless all outcomes are forced")
-        self.state = state
-        self.rng = rng
-        self.forced = list(forced) if forced is not None else None
-        self.mode = correction_mode
-        self.steps: list[ProtocolStep] = []
-        self.corrections: list[str] = []
-        self.total_retries = 0
-        self.own_steps: int | None = None
-
-    def measure_free(self, parity: MajoranaString) -> int:
-        """One measurement with a free outcome (sampled or forced)."""
-        if self.forced is not None:
-            if not self.forced:
-                raise ValueError("forced outcome list exhausted")
-            s = self.forced.pop(0)
-            res = measure(self.state, parity, force=s)
-        else:
-            res = measure(self.state, parity, rng=self.rng)
-        self.state = res.post_state
-        self.steps.append(ProtocolStep(parity, res.outcome, res.probability))
-        return res.outcome
-
-    def measure_until_flip(self, pair_parity: MajoranaString, opening: int) -> tuple[int, int]:
-        """Forced-measurement loop: measure (pair_parity, x3) pairs until the
-        x3 outcome differs from `opening`.  Returns (mid outcome of the final
-        round, flipped x3 outcome).  A failed round restores the pre-round
-        state exactly, so in forced mode only the succeeding round is taken.
-        """
-        retries = 0
-        while True:
-            mid = self.measure_free(pair_parity)
-            if self.forced is not None:
-                res = measure(self.state, X3, force=-opening)
-            else:
-                res = measure(self.state, X3, rng=self.rng)
-            self.state = res.post_state
-            if res.outcome == -opening:
-                # the repeat-until-flip loop makes this outcome certain, so
-                # forced-branch bookkeeping records probability 1; sampled
-                # runs keep the actually drawn probability in their log
-                prob = 1.0 if self.forced is not None else res.probability
-                self.steps.append(
-                    ProtocolStep(X3, res.outcome, prob, retries))
-                self.total_retries += retries
-                return mid, res.outcome
-            retries += 1
-            self.steps.append(ProtocolStep(X3, res.outcome, res.probability))
-            if retries >= RETRY_CAP:
-                raise RuntimeError(
-                    f"forced-measurement loop exceeded {RETRY_CAP} retries; "
-                    f"log: {[(mj.format_string(s.parity), s.outcome) for s in self.steps]}"
-                )
-
-    def apply_correction(self, name: str):
-        """Apply a correction gate: 1, x_j, z_j, or p_j (phase gate)."""
-        self.corrections.append(name)
-        if name == "1":
-            return
-        kind, qubit = name[0], int(name[1])
-        if self.mode == "classical":
-            psi = self.state.amplitudes
-            if kind in ("x", "z"):
-                psi = apply(pauli(kind, qubit), psi)
-            elif kind == "p":
-                species = "0" if qubit == 1 else "pi"
-                pair = string(1, [g(species, 1), g(species, 2)])
-                psi = (psi + apply(pair, psi)) / np.sqrt(2)
-            else:
-                raise ValueError(f"unknown correction {name!r}")
-            self.state = FockState(psi)
-            return
-        # measured mode: corrections are measurement protocols themselves
-        if kind in ("x", "z"):
-            sub = run_pauli_fix(self.state, qubit, kind, rng=self.rng)
-        elif kind == "p":
-            sub = run_phase(self.state, qubit, rng=self.rng)
-        else:
-            raise ValueError(f"unknown correction {name!r}")
-        if self.own_steps is None:
-            self.own_steps = len(self.steps)
-        self.state = sub.state
-        self.steps.extend(sub.steps)
-        self.corrections.extend(f"  {c}" for c in sub.corrections)
-        self.total_retries += sub.total_retries
-
-    def finish(self, protocol: str) -> ProtocolRun:
-        return ProtocolRun(protocol, self.steps, self.corrections,
-                           self.state, self.total_retries, self.own_steps)
-
-
-def run_pauli_fix(
-    state: FockState,
-    qubit: int,
-    axis: str,
-    rng: np.random.Generator | None = None,
-    forced: list[int] | None = None,
-    correction_mode: str = "measured",
-) -> ProtocolRun:
-    """X_j or Z_j by measure-until-flip: open with sigma_x^(3), repeat the
-    (sigma_alpha^(j) sigma_z^(3), sigma_x^(3)) pair until the closing x3
-    outcome flips, then reinitialize the ancilla with a z3 measurement."""
-    if axis not in ("x", "z") or qubit not in (1, 2):
-        raise ValueError(f"pauli fix needs axis x/z and qubit 1/2")
-    ex = _Executor(state, rng, forced, correction_mode)
-    opening = ex.measure_free(X3)
-    pair = XZ[qubit] if axis == "x" else ZZ[qubit]
-    ex.measure_until_flip(pair, opening)
-    ex.measure_free(Z3)
-    return ex.finish(f"pauli-{axis}{qubit}")
-
-
-def run_hadamard(
-    state: FockState,
-    qubit: int,
-    rng: np.random.Generator | None = None,
-    forced: list[int] | None = None,
-    correction_mode: str = "measured",
-) -> ProtocolRun:
-    """Hadamard on logical qubit j via the 5-measurement sequence."""
-    if qubit not in (1, 2):
-        raise ValueError("hadamard acts on qubit 1 or 2")
-    ex = _Executor(state, rng, forced, correction_mode)
-    s1 = ex.measure_free(X3)
-    s2 = ex.measure_free(XZ[qubit])
-    s3 = ex.measure_free(ZZ_PAPER[qubit])
-    s4 = ex.measure_free(X3)
-    ex.measure_free(Z3)
-    if s2 == -s3 and s1 == -s4:
-        ex.apply_correction("1")
-    elif s2 == s3 and s1 == -s4:
-        ex.apply_correction(f"z{qubit}")
-        ex.apply_correction(f"x{qubit}")
-    elif s2 == s3 and s1 == s4:
-        ex.apply_correction(f"x{qubit}")
-    else:
-        ex.apply_correction(f"z{qubit}")
-    return ex.finish(f"hadamard{qubit}")
-
-
-def run_phase(
-    state: FockState,
-    qubit: int,
-    rng: np.random.Generator | None = None,
-    forced: list[int] | None = None,
-    correction_mode: str = "measured",
-) -> ProtocolRun:
-    """Phase gate (diag(1, i) up to global phase) via 3 measurements."""
-    if qubit not in (1, 2):
-        raise ValueError("phase acts on qubit 1 or 2")
-    ex = _Executor(state, rng, forced, correction_mode)
-    s1 = ex.measure_free(X3)
-    s2 = ex.measure_free(ZY[qubit])
-    s3 = ex.measure_free(Z3)
-    if s1 * s2 * s3 == -1:
-        ex.apply_correction(f"z{qubit}")
-    else:
-        ex.apply_correction("1")
-    return ex.finish(f"phase{qubit}")
-
-
-def run_cnot(
-    state: FockState,
-    rng: np.random.Generator | None = None,
-    forced: list[int] | None = None,
-    correction_mode: str = "measured",
-) -> ProtocolRun:
-    """CNOT with qubit 1 the control and qubit 2 the target."""
-    ex = _Executor(state, rng, forced, correction_mode)
-    s1 = ex.measure_free(CNOT_STEPS[0])
-    s2 = ex.measure_free(CNOT_STEPS[1])
-    s3 = ex.measure_free(CNOT_STEPS[2])
-    s4 = ex.measure_free(CNOT_STEPS[3])
-    a, b = s1 * s3, s2 * s4
-    if a == -1 and b == 1:
-        ex.apply_correction("1")
-    elif a == 1 and b == 1:
-        ex.apply_correction("x2")
-    elif a == 1 and b == -1:
-        ex.apply_correction("z1")
-    else:
-        ex.apply_correction("z1")
-        ex.apply_correction("x2")
-    return ex.finish("cnot")
-
-
-def run_tgate(
-    state: FockState,
-    qubit: int,
-    rng: np.random.Generator | None = None,
-    forced: list[int] | None = None,
-    correction_mode: str = "measured",
-) -> ProtocolRun:
-    """T-gate consuming a magic-state ancilla
-    |M> = (e^{-i pi/8}|0> + e^{i pi/8}|1>)/sqrt(2) on qubit 3."""
-    if qubit not in (1, 2):
-        raise ValueError("tgate acts on qubit 1 or 2")
-    ex = _Executor(state, rng, forced, correction_mode)
-    s1 = ex.measure_free(ZZ[qubit])
-    s2 = ex.measure_free(X3)
-    ex.measure_free(Z3)
-    if s1 == 1 and s2 == 1:
-        ex.apply_correction("1")
-    elif s1 == 1 and s2 == -1:
-        ex.apply_correction(f"z{qubit}")
-    elif s1 == -1 and s2 == 1:
-        ex.apply_correction(f"p{qubit}")
-    else:
-        ex.apply_correction(f"z{qubit}")
-        ex.apply_correction(f"p{qubit}")
-    return ex.finish(f"tgate{qubit}")
+    def corrections(self, outcomes) -> tuple[str, ...]:
+        return self.table[tuple([math.prod([outcomes[i] for i in idx])
+                                 for idx in self.key])]
 
 
 def magic_state() -> np.ndarray:
@@ -387,47 +136,212 @@ def magic_state() -> np.ndarray:
     return np.array([np.exp(-1j * np.pi / 8), np.exp(1j * np.pi / 8)]) / np.sqrt(2)
 
 
-def run_protocol(
-    protocol: str,
-    state: FockState,
-    rng: np.random.Generator | None = None,
-    forced: list[int] | None = None,
-    correction_mode: str = "measured",
-) -> ProtocolRun:
-    """Dispatch by protocol id (see PROTOCOL_IDS)."""
-    if protocol.startswith("pauli-"):
-        axis, qubit = protocol[6], int(protocol[7])
-        return run_pauli_fix(state, qubit, axis, rng, forced, correction_mode)
-    if protocol.startswith("hadamard"):
-        return run_hadamard(state, int(protocol[-1]), rng, forced, correction_mode)
-    if protocol.startswith("phase"):
-        return run_phase(state, int(protocol[-1]), rng, forced, correction_mode)
-    if protocol == "cnot":
-        return run_cnot(state, rng, forced, correction_mode)
-    if protocol.startswith("tgate"):
-        return run_tgate(state, int(protocol[-1]), rng, forced, correction_mode)
-    raise ValueError(f"unknown protocol id {protocol!r}")
+def _on(qubit: int, mat2: np.ndarray) -> np.ndarray:
+    """A one-qubit gate on logical qubit 1 or 2 of the pair."""
+    return np.kron(mat2, np.eye(2)) if qubit == 1 else np.kron(np.eye(2), mat2)
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_S = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
+_T = np.diag([np.exp(-1j * np.pi / 8), np.exp(1j * np.pi / 8)])
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+
+
+def _gates() -> dict[str, Gate]:
+    """Every protocol, keyed by id (the tables of the module docstring)."""
+    gates = {}
+    for axis, mat, pair in (("x", _X, XZ), ("z", _Z, ZZ)):
+        for j in (1, 2):
+            gates[f"pauli-{axis}{j}"] = Gate(
+                _on(j, mat), (X3, pair[j], Z3), (), {(): ()}, until_flip=True)
+    for j in (1, 2):
+        x, z = f"x{j}", f"z{j}"
+        gates[f"hadamard{j}"] = Gate(
+            _on(j, _H), (X3, XZ[j], ZZ_PAPER[j], X3, Z3), ((1, 2), (0, 3)),
+            {(-1, -1): ("1",), (1, -1): (z, x), (1, 1): (x,), (-1, 1): (z,)})
+    for j in (1, 2):
+        gates[f"phase{j}"] = Gate(_on(j, _S), (X3, ZY[j], Z3), ((0, 1, 2),),
+                                  {(1,): ("1",), (-1,): (f"z{j}",)})
+    gates["cnot"] = Gate(
+        _CNOT, (X3, string(1j, [g("pi", 2), g("pi", 4)]),
+                string(1j, [g("0", 3), g("pi", 2)]), Z3), ((0, 2), (1, 3)),
+        {(-1, 1): ("1",), (1, 1): ("x2",), (1, -1): ("z1",),
+         (-1, -1): ("z1", "x2")})
+    for j in (1, 2):
+        z, p = f"z{j}", f"p{j}"
+        gates[f"tgate{j}"] = Gate(
+            _on(j, _T), (ZZ[j], X3, Z3), ((0,), (1,)),
+            {(1, 1): ("1",), (1, -1): (z,), (-1, 1): (p,), (-1, -1): (z, p)},
+            ancilla=magic_state())
+    return gates
+
+
+GATES = _gates()
+PROTOCOL_IDS = tuple(GATES)
+
+
+def _gate(protocol: str) -> Gate:
+    if protocol not in GATES:
+        raise ValueError(f"unknown protocol id {protocol!r}")
+    return GATES[protocol]
+
+
+class _Executor:
+    """Fills one ProtocolRun: measurements, forced loops, corrections."""
+
+    def __init__(self, protocol: str, state: FockState,
+                 rng: np.random.Generator | None, forced: list[int] | None,
+                 correction_mode: str):
+        if correction_mode not in ("measured", "classical"):
+            raise ValueError(f"bad correction mode {correction_mode!r}")
+        if forced is None and rng is None:
+            raise ValueError("need an rng unless all outcomes are forced")
+        self.rng = rng
+        self.draw = rng if forced is None else None   # samples own outcomes
+        self.forced = list(forced) if forced is not None else None
+        self.mode = correction_mode
+        self.run = ProtocolRun(protocol, state=state)
+
+    def measure_free(self, parity: MajoranaString) -> int:
+        """One measurement with a free outcome (sampled or forced)."""
+        force = None
+        if self.forced is not None:
+            if not self.forced:
+                raise ValueError("forced outcome list exhausted")
+            force = self.forced.pop(0)
+        res = measure(self.run.state, parity, rng=self.draw, force=force)
+        self.run.state = res.post_state
+        self.run.steps.append(ProtocolStep(parity, res.outcome, res.probability))
+        return res.outcome
+
+    def measure_until_flip(self, pair_parity: MajoranaString, opening: int) -> int:
+        """Forced-measurement loop: measure (pair_parity, x3) pairs until the
+        x3 outcome differs from `opening`; returns the pair outcome of the
+        final round.  A failed round restores the pre-round state exactly,
+        so in forced mode only the succeeding round is taken.
+        """
+        run = self.run
+        retries = 0
+        while True:
+            mid = self.measure_free(pair_parity)
+            force = -opening if self.forced is not None else None
+            res = measure(run.state, X3, rng=self.draw, force=force)
+            run.state = res.post_state
+            if res.outcome == -opening:
+                # the repeat-until-flip loop makes this outcome certain, so
+                # forced-branch bookkeeping records probability 1; sampled
+                # runs keep the actually drawn probability in their log
+                prob = 1.0 if force is not None else res.probability
+                run.steps.append(ProtocolStep(X3, res.outcome, prob, retries))
+                run.total_retries += retries
+                return mid
+            retries += 1
+            run.steps.append(ProtocolStep(X3, res.outcome, res.probability))
+            if retries >= RETRY_CAP:
+                raise RuntimeError(
+                    f"forced-measurement loop exceeded {RETRY_CAP} retries; "
+                    f"log: {[(mj.format_string(s.parity), s.outcome) for s in run.steps]}"
+                )
+
+    def apply_correction(self, name: str):
+        """Apply a correction gate: 1, x_j, z_j, or p_j (phase gate)."""
+        run = self.run
+        run.corrections.append(name)
+        if name == "1":
+            return
+        kind, qubit = name[0], int(name[1])
+        if self.mode == "classical":
+            psi = run.state.amplitudes
+            if kind == "p":
+                species = "0" if qubit == 1 else "pi"
+                pair = string(1, [g(species, 1), g(species, 2)])
+                psi = (psi + apply(pair, psi)) / np.sqrt(2)
+            else:
+                psi = apply(pauli(kind, qubit), psi)
+            run.state = FockState(psi)
+            return
+        # measured mode: corrections are measurement protocols themselves
+        sub_id = f"phase{qubit}" if kind == "p" else f"pauli-{kind}{qubit}"
+        sub = _run(sub_id, run.state, self.rng, None, "measured")
+        if run.own_steps is None:
+            run.own_steps = len(run.steps)
+        run.state = sub.state
+        run.steps.extend(sub.steps)
+        run.corrections.extend(f"  {c}" for c in sub.corrections)
+        run.total_retries += sub.total_retries
+
+
+def _run(protocol: str, state: FockState, rng: np.random.Generator | None,
+         forced: list[int] | None, correction_mode: str) -> ProtocolRun:
+    """Measure the gate's steps (an until-flip gate loops on steps[1]),
+    then apply the corrections its table picks."""
+    gate = _gate(protocol)
+    ex = _Executor(protocol, state, rng, forced, correction_mode)
+    outcomes = []
+    for i, parity in enumerate(gate.steps):
+        if gate.until_flip and i == 1:
+            outcomes.append(ex.measure_until_flip(parity, outcomes[0]))
+        else:
+            outcomes.append(ex.measure_free(parity))
+    for name in gate.corrections(outcomes):
+        ex.apply_correction(name)
+    return ex.run
+
+
+def run_protocol(protocol, state, rng=None, forced=None,
+                 correction_mode="measured") -> ProtocolRun:
+    """Run a protocol by id (see PROTOCOL_IDS).  Give an rng, or force every
+    free outcome (the rng then drives measured corrections only)."""
+    return _run(protocol, state, rng, forced, correction_mode)
+
+
+def run_pauli_fix(state, qubit, axis, rng=None, forced=None,
+                  correction_mode="measured") -> ProtocolRun:
+    """X_j or Z_j by measure-until-flip: open with sigma_x^(3), repeat the
+    (sigma_alpha^(j) sigma_z^(3), sigma_x^(3)) pair until the closing x3
+    outcome flips, then reinitialize the ancilla with a z3 measurement."""
+    return _run(f"pauli-{axis}{qubit}", state, rng, forced, correction_mode)
+
+
+def run_hadamard(state, qubit, rng=None, forced=None,
+                 correction_mode="measured") -> ProtocolRun:
+    """Hadamard on logical qubit j via the 5-measurement sequence."""
+    return _run(f"hadamard{qubit}", state, rng, forced, correction_mode)
+
+
+def run_phase(state, qubit, rng=None, forced=None,
+              correction_mode="measured") -> ProtocolRun:
+    """Phase gate (diag(1, i) up to global phase) via 3 measurements."""
+    return _run(f"phase{qubit}", state, rng, forced, correction_mode)
+
+
+def run_cnot(state, rng=None, forced=None,
+             correction_mode="measured") -> ProtocolRun:
+    """CNOT with qubit 1 the control and qubit 2 the target."""
+    return _run("cnot", state, rng, forced, correction_mode)
+
+
+def run_tgate(state, qubit, rng=None, forced=None,
+              correction_mode="measured") -> ProtocolRun:
+    """T-gate consuming a magic-state ancilla
+    |M> = (e^{-i pi/8}|0> + e^{i pi/8}|1>)/sqrt(2) on qubit 3."""
+    return _run(f"tgate{qubit}", state, rng, forced, correction_mode)
 
 
 def free_outcome_count(protocol: str) -> int:
-    """Number of free outcomes enumerated per branch.  Forced-until-flip
-    loops contribute their success-round pair only (failed rounds act as
-    the identity and merely repeat)."""
-    if protocol.startswith("pauli-"):
-        return 3   # opening x3, pair mid outcome, final z3 (closing x3 forced)
-    if protocol.startswith("hadamard"):
-        return 5
-    if protocol.startswith("phase") or protocol.startswith("tgate"):
-        return 3
-    if protocol == "cnot":
-        return 4
-    raise ValueError(f"unknown protocol id {protocol!r}")
+    """Number of free outcomes enumerated per branch: one per step.  An
+    until-flip loop contributes its success-round pair outcome only (failed
+    rounds act as the identity and merely repeat; the closing x3 is forced)."""
+    return len(_gate(protocol).steps)
 
 
 def logical_fidelity(
-    state_in: FockState, run: ProtocolRun, target: GateSpec
+    state_in: FockState, run: ProtocolRun, target: np.ndarray
 ) -> float:
-    """Global-phase-invariant fidelity of the run against the target gate.
+    """Global-phase-invariant fidelity of the run against the target gate
+    (a 4x4 on the logical pair, such as `GATES[pid].target`).
 
     The input's logical content (qubits 1, 2) is read off at the input
     ancilla configuration; the output's at the ancilla eigenstate the run
@@ -444,7 +358,7 @@ def logical_fidelity(
     phi = dec_out.reshape(4, 2)[:, b3]
     # target acts on the logical pair for any ancilla branch;
     # overlap maximized over the ancilla branch phases is the sum in quadrature
-    tgt = target.matrix @ psi_in
+    tgt = target @ psi_in
     num = np.linalg.norm(phi.conj() @ tgt)
     den = np.linalg.norm(phi) * np.linalg.norm(tgt)
     if den < 1e-14:
@@ -473,14 +387,17 @@ def enumerate_branches(
 
     Zero-probability branches (forced projector annihilates the state,
     p < 1e-14) are skipped.  In `measured` correction mode an rng drives
-    the free outcomes inside the correction sub-protocols.
+    the free outcomes inside the correction sub-protocols.  The table
+    counts as covered when every correction row that some outcome string
+    selects was applied (at top level) in at least one reachable run.
     """
-    k = free_outcome_count(protocol)
-    target = GATE_TARGETS[protocol]
+    gate = _gate(protocol)
+    all_signs = list(itertools.product((1, -1), repeat=len(gate.steps)))
     worst = 1.0
     probs: dict[tuple[int, ...], float] = {}
     reachable = 0
-    for signs in itertools.product((1, -1), repeat=k):
+    applied = set()
+    for signs in all_signs:
         for state in inputs:
             if correction_mode == "measured":
                 sub_rng = np.random.default_rng(
@@ -491,20 +408,20 @@ def enumerate_branches(
                 run = run_protocol(protocol, state, rng=sub_rng,
                                    forced=list(signs),
                                    correction_mode=correction_mode)
-            except ValueError as err:
-                if "incompatible forced outcome" in str(err):
-                    continue
-                raise
+            except ImpossibleOutcome:
+                continue
             reachable += 1
             probs[signs] = probs.get(signs, 0.0) + run.branch_probability
-            worst = min(worst, logical_fidelity(state, run, target))
+            worst = min(worst, logical_fidelity(state, run, gate.target))
+            applied.add(tuple(c for c in run.corrections
+                              if not c.startswith(" ")))
     return BranchReport(
         protocol=protocol,
-        n_branches=2**k,
+        n_branches=len(all_signs),
         n_reachable=reachable,
         min_fidelity=worst,
         branch_probabilities=probs,
-        covered=True,   # every run above selected exactly one correction row
+        covered={gate.corrections(s) for s in all_signs} <= applied,
     )
 
 
@@ -513,9 +430,7 @@ def random_logical_inputs(
 ) -> list[FockState]:
     """Random product inputs for a protocol: Haar-ish random qubits 1-2, the
     ancilla in the magic state for a T-gate and in |0> otherwise."""
-    if protocol not in PROTOCOL_IDS:
-        raise ValueError(f"unknown protocol id {protocol!r}")
-    anc = magic_state() if protocol.startswith("tgate") else [1.0, 0.0]
+    anc = _gate(protocol).ancilla
     out = []
     for _ in range(n):
         qs = []

@@ -62,6 +62,13 @@ def test_config_validation(tmp_path):
         assert res.returncode == 2
         assert f"unknown key {section}.{key!r}" in res.stderr
 
+    # the output format is the --format option, not a config section
+    res = run_cli("spectrum", "--config",
+                  write(tmp_path, "fmt.json", dict(KITAEV, output={"format": "json"})),
+                  "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "unknown config section 'output'" in res.stderr
+
     # out-of-range and mistyped values
     for command, section, key, val in (
             ("protocol", "protocol", "n_inputs", 0),
@@ -224,6 +231,8 @@ def test_ptcheck_outputs(tmp_path):
     out = tmp_path / "out"
     res = run_cli("ptcheck", "--config", path, "--out", str(out))
     assert res.returncode == 0
+    # every coupling used is at most 0.1 of the blockade gap
+    assert "Warning" not in res.stderr, res.stderr
     report = json.loads((out / "ptcheck_report.json").read_text())
     assert abs(report["two_lead_slope"] - 3.0) < 0.3
     assert "ab_coefficients_minimize_residual" not in report

@@ -207,8 +207,9 @@ def test_measure_eigenstate():
     res = measure(s, pauli("z", 1), force=+1)
     assert res.outcome == 1 and res.probability == pytest.approx(1.0, abs=1e-12)
     assert np.abs(res.post_state.amplitudes - s.amplitudes).max() < 1e-12
-    with pytest.raises(ValueError, match="incompatible"):
+    with pytest.raises(mj.ImpossibleOutcome, match="incompatible"):
         measure(s, pauli("z", 1), force=-1)
+    assert issubclass(mj.ImpossibleOutcome, ValueError)
 
 
 def test_measure_superposition(rng):

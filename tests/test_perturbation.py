@@ -171,9 +171,11 @@ def test_lead_energy_index_restriction():
 
 
 def test_coupling_warning():
-    with pytest.warns(UserWarning, match="blockade gap"):
+    with pytest.warns(UserWarning, match="blockade gap") as caught:
         TwoLeadParams(eps_plus=1.0, eps_minus=1.0, n_i=0, n_j=0,
                       coupling_i={("0", 0): 0.5}, coupling_j={})
+    # the warning names the line that built the parameters
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_verify_effective_model_scaling_points():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from cornerlab import majorana as mj
 from cornerlab import protocols as pt
 from cornerlab.majorana import encode_logical, expectation, pauli
 from cornerlab.protocols import (
-    GATE_TARGETS,
+    GATES,
     PROTOCOL_IDS,
     enumerate_branches,
     logical_fidelity,
@@ -19,15 +21,47 @@ from cornerlab.protocols import (
     run_tgate,
 )
 
+def test_gate_table():
+    assert PROTOCOL_IDS == (
+        "pauli-x1", "pauli-x2", "pauli-z1", "pauli-z2", "hadamard1",
+        "hadamard2", "phase1", "phase2", "cnot", "tgate1", "tgate2")
+    names = {"1", "x1", "x2", "z1", "z2", "p1", "p2"}
+    for pid, gate in GATES.items():
+        u = gate.target
+        assert u.shape == (4, 4)
+        assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12), pid
+        assert pt.free_outcome_count(pid) == len(gate.steps)
+        assert all(s.is_hermitian() for s in gate.steps), pid
+        rows = {gate.corrections(s) for s in itertools.product(
+            (1, -1), repeat=len(gate.steps))}
+        assert rows == set(gate.table.values()), pid
+        assert all(set(row) <= names for row in rows), pid
+        ancilla = magic_state() if pid.startswith("tgate") else [1, 0]
+        assert np.array_equal(gate.ancilla, ancilla), pid
+    with pytest.raises(ValueError, match="unknown protocol"):
+        pt.free_outcome_count("hadamard3")
+
+
+def test_coverage_needs_every_correction_row():
+    for pid in PROTOCOL_IDS:
+        assert not enumerate_branches(pid, []).covered
+    # |0> on qubit 1 and on the ancilla pins s1 = +1 in the T-gate, so the
+    # phase-correcting rows never run although every reachable branch is exact
+    zero = encode_logical([1, 0], [1, 0], [1, 0])
+    rep = enumerate_branches("tgate1", [zero])
+    assert rep.n_reachable == 4 and rep.min_fidelity > 1 - 1e-12
+    assert not rep.covered
+
+
 def fidelity_after(pid, state, rng, **kw):
     run = run_protocol(pid, state, rng=rng, **kw)
-    return logical_fidelity(state, run, GATE_TARGETS[pid]), run
+    return logical_fidelity(state, run, GATES[pid].target), run
 
 
 def test_hadamard_truth_table(rng):
     zero = encode_logical([1, 0], [1, 0], [1, 0])
     run = run_hadamard(zero, 1, rng=rng)
-    assert logical_fidelity(zero, run, GATE_TARGETS["hadamard1"]) > 1 - 1e-12
+    assert logical_fidelity(zero, run, GATES["hadamard1"].target) > 1 - 1e-12
     # explicit state check: qubit 1 ends in |+>
     assert expectation(run.state, pauli("x", 1)) == pytest.approx(1.0, abs=1e-10)
 
@@ -39,7 +73,7 @@ def test_pauli_fix_actions(rng):
     zero = encode_logical([1, 0], [1, 0], [1, 0])
     run = run_pauli_fix(zero, 1, "z", rng=rng)
     assert expectation(run.state, pauli("z", 1)) == pytest.approx(1.0, abs=1e-10)
-    assert logical_fidelity(zero, run, GATE_TARGETS["pauli-z1"]) > 1 - 1e-12
+    assert logical_fidelity(zero, run, GATES["pauli-z1"].target) > 1 - 1e-12
 
 
 def test_phase_action(rng):
@@ -62,7 +96,7 @@ def test_cnot_truth_table(rng):
 def test_cnot_entangles(rng):
     plus = encode_logical(np.array([1, 1]) / np.sqrt(2), [1, 0], [1, 0])
     run = run_cnot(plus, rng=rng)
-    fid = logical_fidelity(plus, run, GATE_TARGETS["cnot"])
+    fid = logical_fidelity(plus, run, GATES["cnot"].target)
     assert fid > 1 - 1e-12
     # Bell state: single-qubit expectations vanish, zz correlation is 1
     dec = mj.decode_logical(run.state)
@@ -79,7 +113,7 @@ def test_tgate_action(rng):
     alpha, beta = 0.6, 0.8
     state = encode_logical([alpha, beta], [1, 0], magic_state())
     run = run_tgate(state, 1, rng=rng)
-    assert logical_fidelity(state, run, GATE_TARGETS["tgate1"]) > 1 - 1e-10
+    assert logical_fidelity(state, run, GATES["tgate1"].target) > 1 - 1e-10
     # identity branch amplitudes: alpha e^{-i pi/8}, beta e^{+i pi/8}
     forced = run_tgate(state, 1, forced=[1, 1, 1], correction_mode="classical")
     dec = mj.decode_logical(forced.state).reshape(4, 2)[:, 0]
@@ -205,8 +239,8 @@ def test_measured_and_classical_corrections_agree(rng):
                           correction_mode="classical")
         run_m = run_phase(state, 1, forced=list(forced), rng=rng,
                           correction_mode="measured")
-        fid_c = logical_fidelity(state, run_c, GATE_TARGETS["phase1"])
-        fid_m = logical_fidelity(state, run_m, GATE_TARGETS["phase1"])
+        fid_c = logical_fidelity(state, run_c, GATES["phase1"].target)
+        fid_m = logical_fidelity(state, run_m, GATES["phase1"].target)
         assert fid_c > 1 - 1e-12 and fid_m > 1 - 1e-12
 
 
