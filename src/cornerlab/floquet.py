@@ -8,12 +8,14 @@ eigenvalue in the central zone (-omega/2, omega/2].  Only that slice is
 solved for; a zone holding any count other than `blockdim` means the
 cutoff is too small, and the solve fails loudly.
 
-Real basis: an operator that carries a `lattice.Mirror` R (every lattice
-and chain built in `lattice`) is assembled in the basis W = (1 + iR)/sqrt(2)
-where every harmonic is real, so the Sambe matrix is real symmetric and
-the solve runs in real arithmetic.  Only the kept zero and pi vectors are
-mapped back, as W v per harmonic; `FloquetMode.components` are always in
-the site basis.  Operators without a mirror are assembled complex.
+Half-size solve: an operator that carries a `lattice.Mirror` R (every
+lattice and chain built in `lattice`) has real harmonics in the basis
+W = (1 + iR)/sqrt(2).  There particle-hole symmetry times R is the
+permutation J = tau_x (x) P_n (P_n sends harmonic n to -n), which
+anticommutes with the real Sambe matrix, so K' = [[0, B], [B^T, 0]] in J's
+eigenbasis and the spectrum is +-sigma over the singular values of B.
+Only B is assembled and solved, and only the kept zero and pi vectors are
+rebuilt and mapped back to sites; operators without a mirror stay complex.
 
 Species windows: a mode is `zero` if its quasienergy lies within tol_zero
 of 0, and `pi` if it lies within tol_pi of +-omega/2 on the quasienergy
@@ -35,8 +37,8 @@ from cornerlab.lattice import DrivenBdG, Mirror
 @dataclass(frozen=True)
 class SambeMatrix:
     """Assembled extended-space matrix with cutoff M (blocks n = -M..M):
-    real symmetric in the mirror's real basis if `mirror` is set, else
-    complex Hermitian in the site basis."""
+    the real half-size block B, of size dim/2, if `mirror` is set, else the
+    complex Hermitian Sambe matrix in the site basis."""
 
     m_cutoff: int
     blockdim: int
@@ -93,33 +95,53 @@ class SpectrumResult:
         return {s: len(self.modes_of(s)) for s in ("zero", "pi")}
 
 
+def _check_particle_hole(real: dict[int, np.ndarray]) -> None:
+    """Raise ValueError unless tau_x h'^(-k) tau_x = -h'^(k) for every
+    real-basis harmonic, i.e. unless J anticommutes with K'."""
+    for k, h in real.items():
+        swap = np.arange(len(h)) ^ 1      # tau_x: particle <-> hole columns
+        defect = np.abs(h[1::2] + real[-k][0::2, swap]).max(initial=0.0)
+        if defect > 1e-12 * np.abs(h).max(initial=0.0):
+            raise ValueError(f"harmonic {k} breaks particle-hole symmetry: "
+                             f"defect {defect:.3e} in the real basis")
+
+
 def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
     """Block-assemble the Sambe matrix for harmonic cutoff M >= 0 (M = 0
     only for static operators).
 
     With a mirror, each harmonic is first taken to the real basis (raising
-    ValueError if one breaks the mirror) and the matrix is assembled real;
-    the complex site-basis matrix is never formed.
+    ValueError if one breaks the mirror or particle-hole symmetry) and only
+    the half-size block B is assembled, from (2M+1)^2 blocks of size d/2:
+        B_nm = h'^(n-m)_pp + n * omega * delta_nm - h'^(n+m)_ph,
+    a block-Toeplitz particle-particle part minus a block-Hankel
+    particle-hole part.  Neither the complex nor the full real Sambe matrix
+    is formed.
     """
     if M < 0:
         raise ValueError(f"need M >= 0, got {M}")
     if bdg.max_harmonic > 2 * M:
         raise ValueError("cutoff M too small for the harmonic content")
-    blocks = bdg.harmonics
-    if bdg.mirror is not None:
-        blocks = {m: bdg.mirror.to_real(h, m) for m, h in blocks.items()}
-    d = bdg.dim
-    D = (2 * M + 1) * d
-    H = np.zeros((D, D), dtype=complex if bdg.mirror is None else float)
-    for n in range(-M, M + 1):
-        rn = (n + M) * d
-        for k, h in blocks.items():
-            if abs(n - k) <= M:
-                cm = (n - k + M) * d
-                H[rn:rn + d, cm:cm + d] = h
-    H[np.diag_indices(D)] += np.repeat(np.arange(-M, M + 1) * bdg.omega, d)
-    return SambeMatrix(m_cutoff=M, blockdim=d, omega=bdg.omega, matrix=H,
-                       mirror=bdg.mirror)
+    # (sign s, offset c, block): block (n, m) with m = s * n + c gets `block`
+    if bdg.mirror is None:
+        e, dtype = bdg.dim, complex
+        terms = [(1, -k, h) for k, h in bdg.harmonics.items()]
+    else:
+        real = {k: bdg.mirror.to_real(h, k) for k, h in bdg.harmonics.items()}
+        _check_particle_hole(real)
+        e, dtype = bdg.dim // 2, float
+        terms = [t for k, h in real.items()
+                 for t in ((1, -k, h[0::2, 0::2]), (-1, k, -h[0::2, 1::2]))]
+    D = (2 * M + 1) * e
+    H = np.zeros((D, D), dtype=dtype)
+    for s, c, block in terms:
+        for n in range(-M, M + 1):
+            m = s * n + c
+            if abs(m) <= M:
+                H[(n + M) * e:(n + M + 1) * e, (m + M) * e:(m + M + 1) * e] += block
+    H[np.diag_indices(D)] += np.repeat(np.arange(-M, M + 1) * bdg.omega, e)
+    return SambeMatrix(m_cutoff=M, blockdim=bdg.dim, omega=bdg.omega,
+                       matrix=H, mirror=bdg.mirror)
 
 
 def circular_distance(eps, target, omega):
@@ -158,14 +180,15 @@ def quasienergy_spectrum(
 ) -> SpectrumResult:
     """Solve the central Floquet zone and package the Majorana modes.
 
-    One subset eigensolve returns the Sambe eigenpairs in the half-open
-    zone (-omega/2, omega/2]: these are the folded quasienergies, one per
-    physical state.  Raises RuntimeError unless the zone holds exactly
-    `blockdim` states.  Mode tolerances default to 1e-3 * omega.
-    Eigenvectors are kept only for states inside the zero/pi windows; a
-    real-basis solve maps each kept vector back to the site basis (W v per
-    harmonic), and then pi modes near -omega/2 are shifted to the +omega/2
-    representative.
+    The folded quasienergies are the Sambe eigenvalues in (-omega/2,
+    omega/2], one per state; RuntimeError unless there are `blockdim`.  For
+    B they are +-sigma for each singular value sigma < omega/2: a subset
+    eigensolve of B^T B gives the right vectors V, and a thin SVD of B V
+    (Rayleigh-Ritz) gives sigma to eps * ||B||, which the squared eigenvalues
+    lose near 0.  Tolerances default to 1e-3 * omega.  Only vectors in the
+    zero/pi windows are kept: +-sigma has (u +- v)/2 on the particles of
+    harmonic n and (u -+ v)/2 on the holes of -n, mapped back to sites.  Pi
+    modes near -omega/2 are shifted to the +omega/2 representative.
     """
     # scipy.linalg costs ~0.1 s to import; only Sambe solves should pay it
     import scipy.linalg
@@ -176,9 +199,18 @@ def quasienergy_spectrum(
     if tol_pi is None:
         tol_pi = 1e-3 * w
     M, d = sambe.m_cutoff, sambe.blockdim
+    B = sambe.matrix
     try:
-        evals, evecs = scipy.linalg.eigh(
-            sambe.matrix, subset_by_value=(-w / 2, w / 2), driver="evr")
+        if sambe.mirror is None:
+            evals, evecs = scipy.linalg.eigh(
+                B, subset_by_value=(-w / 2, w / 2), driver="evr")
+        else:
+            # B^T B is symmetric: its transpose is Fortran-ordered, no copy
+            _, V = scipy.linalg.eigh((B.T @ B).T, driver="evr", overwrite_a=True,
+                                     subset_by_value=(-1.0, (w / 2) ** 2))
+            U, sigma, Zt = scipy.linalg.svd(B @ V, full_matrices=False)
+            V = V @ Zt.T
+            evals = np.concatenate([-sigma, sigma[::-1]])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Sambe eigensolver failed: {exc}") from exc
     if evals.size != d:
@@ -192,8 +224,14 @@ def quasienergy_spectrum(
         if species == "bulk":
             continue
         k = int(round((w / 2 - eps) / w)) if species == "pi" else 0
-        comp = evecs[:, i].reshape(2 * M + 1, d)
-        if sambe.mirror is not None:
+        if sambe.mirror is None:
+            comp = evecs[:, i].reshape(2 * M + 1, d)
+        else:
+            j = min(i, d - 1 - i)                  # singular pair of +-sigma_j
+            u, v = U[:, j], (1 if i >= d // 2 else -1) * V[:, j]
+            comp = np.empty((2 * M + 1, d))
+            comp[:, 0::2] = ((u + v) / 2).reshape(2 * M + 1, d // 2)
+            comp[::-1, 1::2] = ((u - v) / 2).reshape(2 * M + 1, d // 2)
             comp = sambe.mirror.to_site(comp)
         comp = _shift_components(comp, k)
         modes.append(FloquetMode(float(eps) + k * w, comp, species, w))
@@ -223,11 +261,8 @@ def _site_probability(mode: FloquetMode) -> np.ndarray:
 def _quadrant_values(shape: tuple[int, int]) -> np.ndarray:
     """Site -> quadrant label (0..3): x-half + 2 * y-half."""
     Lx, Ly = shape
-    q = np.zeros(Lx * Ly)
-    for s in range(Lx * Ly):
-        x, y = s % Lx, s // Lx
-        q[s] = (1 if x >= Lx // 2 else 0) + 2 * (1 if y >= Ly // 2 else 0)
-    return q
+    s = np.arange(Lx * Ly)
+    return (s % Lx >= Lx // 2) + 2.0 * (s // Lx >= Ly // 2)
 
 
 def corner_basis_rotation(
@@ -251,23 +286,13 @@ def corner_basis_rotation(
     d = modes[0].components.shape[1]
     if d != 2 * Lx * Ly:
         raise ValueError(f"shape {shape} does not match blockdim {d}")
-    qv = _quadrant_values(shape)
-    k = len(modes)
-    Q = np.zeros((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            acc = 0.0
-            for n in range(modes[0].components.shape[0]):
-                va = modes[a].components[n]
-                vb = modes[b].components[n]
-                dens = va.conj()[0::2] * vb[0::2] + va.conj()[1::2] * vb[1::2]
-                acc += (qv * dens).sum()
-            Q[a, b] = acc
+    C = np.stack([m.components for m in modes])          # (k, 2M+1, d)
+    Q = np.einsum("anx,x,bnx->ab", C.conj(),
+                  np.repeat(_quadrant_values(shape), 2), C)
     _, U = np.linalg.eigh((Q + Q.conj().T) / 2)
     eps = np.array([m.quasienergy for m in modes])
     out = []
-    for c in range(k):
-        comp = sum(U[a, c] * modes[a].components for a in range(k))
+    for c, comp in enumerate(np.einsum("ac,anx->cnx", U, C)):
         comp = comp / np.sqrt((np.abs(comp) ** 2).sum())
         e_rot = float(np.abs(U[:, c]) ** 2 @ eps)
         out.append(FloquetMode(e_rot, comp, modes[0].species, modes[0].omega))

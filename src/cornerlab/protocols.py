@@ -287,6 +287,9 @@ def _run(protocol: str, state: FockState, rng: np.random.Generator | None,
             outcomes.append(ex.measure_free(parity))
     for name in gate.corrections(outcomes):
         ex.apply_correction(name)
+    if ex.forced:
+        raise ValueError(f"{len(ex.forced)} forced outcomes left over after "
+                         f"the {len(gate.steps)} steps of {protocol}")
     return ex.run
 
 

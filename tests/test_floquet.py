@@ -35,16 +35,19 @@ def test_assemble_validation():
 def test_sambe_dimensions():
     bdg = kitaev_chain_bdg(4, 1.0, 1.0, 0.1, 0.3)   # blockdim 8
     sm = assemble_sambe(bdg, 3)
-    assert sm.dim == 56
-    assert np.abs(sm.matrix - sm.matrix.conj().T).max() < 1e-12
+    assert sm.dim == 56 and sm.matrix.shape == (28, 28)
+    site = _site_sambe(bdg, 3)
+    assert site.shape == (56, 56)
+    assert np.abs(site - site.conj().T).max() < 1e-12
 
 
 def test_static_replica_structure():
     bdg = kitaev_chain_bdg(3, 0.8, 0.5, 0.3, 0.0)
     h0 = np.asarray(bdg.component(0))
     base = np.linalg.eigvalsh(h0)
-    sm = assemble_sambe(bdg, 2)
-    full = np.sort(np.linalg.eigvalsh(sm.matrix))
+    # the real Sambe matrix [[0, B], [B^T, 0]] has spectrum +-sigma(B)
+    sigma = np.linalg.svd(assemble_sambe(bdg, 2).matrix, compute_uv=False)
+    full = np.sort(np.concatenate([sigma, -sigma]))
     expect = np.sort(np.concatenate([base + n * W for n in range(-2, 3)]))
     assert np.abs(full - expect).max() < 1e-10
     # a static operator needs no replicas: M = 0 is h^(0) itself
@@ -109,13 +112,13 @@ def test_central_zone_matches_dense_oracle(name, rng, raw_vectors):
     spec = quasienergy_spectrum(sm, tol_zero=W / 4, tol_pi=W / 4)
     eps = spec.quasienergies
 
-    dense = np.linalg.eigvalsh(sm.matrix)
+    site = _site_sambe(bdg, M)
+    dense = np.linalg.eigvalsh(site)
     zone = np.sort(dense[(dense > -W / 2) & (dense <= W / 2)])
     assert eps.size == zone.size == sm.blockdim
     assert np.abs(eps - zone).max() <= 1e-10
 
     # the kept vectors are in the site basis, whatever basis sm.matrix is in
-    site = _site_sambe(bdg, M)
     assert len(spec.modes) == sm.blockdim
     h_norm = np.linalg.norm(site, 2)
     for mode in spec.modes:
@@ -138,10 +141,97 @@ def test_real_path_matches_complex(name, rng):
     real = assemble_sambe(bdg, M)
     cplx = assemble_sambe(DrivenBdG(bdg.harmonics, bdg.omega), M)
     assert real.matrix.dtype == np.float64 and real.mirror is bdg.mirror
+    assert real.matrix.shape == (real.dim // 2, real.dim // 2)
     assert cplx.matrix.dtype == np.complex128 and cplx.mirror is None
     a = quasienergy_spectrum(real).quasienergies
     b = quasienergy_spectrum(cplx).quasienergies
     assert np.abs(a - b).max() <= 1e-12
+
+
+def _real_sambe(bdg, M):
+    """The full real Sambe matrix K' of a mirrored operator, assembled by the
+    complex path from its real-basis harmonics."""
+    real = {k: bdg.mirror.to_real(h, k) for k, h in bdg.harmonics.items()}
+    full = assemble_sambe(DrivenBdG(real, bdg.omega), M).matrix
+    assert not full.imag.any()
+    return full.real
+
+
+def _j_perm(M, d):
+    """J = tau_x (x) P_n as an index map: (harmonic n, site, particle/hole)
+    goes to (-n, site, hole/particle)."""
+    n, a = np.divmod(np.arange((2 * M + 1) * d), d)
+    return (2 * M - n) * d + (a ^ 1)
+
+
+@pytest.mark.parametrize("name", ["open", "periodic-x", "periodic-both",
+                                  "chain60", "chain61"])
+def test_j_anticommutes_and_b_is_its_block(name, rng):
+    bdg, _, _ = _problem(name, rng)
+    M = 3
+    full = _real_sambe(bdg, M)
+    J = _j_perm(M, bdg.dim)
+    assert np.abs(full[np.ix_(J, J)] + full).max() == 0.0
+    # B = K'[S, S] - K'[S, JS] with S the particle entries
+    S = np.arange(full.shape[0])[0::2]
+    B = assemble_sambe(bdg, M).matrix
+    assert np.abs(B - (full[np.ix_(S, S)] - full[np.ix_(S, J[S])])).max() == 0.0
+
+
+def test_particle_hole_breaking_harmonic_raises():
+    p = fig_s1_params(2, 2)
+    bdg = lattice.build_realspace_bdg(p)
+    # a shift of every Nambu component alike keeps the mirror but is no BdG term
+    h = bdg.harmonics
+    h[0] = h[0] + 0.1 * np.eye(bdg.dim)
+    broken = DrivenBdG(h, bdg.omega, bdg.mirror)
+    with pytest.raises(ValueError, match="harmonic 0 breaks particle-hole"):
+        assemble_sambe(broken, 2)
+
+
+def test_near_zero_sigma_match_gesdd():
+    import scipy.linalg
+
+    bdg = lattice.build_realspace_bdg(fig_s1_params(Nx=4, Ny=4))
+    sm = assemble_sambe(bdg, 4)
+    eps = quasienergy_spectrum(sm).quasienergies
+    assert np.array_equal(eps, -eps[::-1])
+    sigma = eps[eps.size // 2:]
+    ref = np.sort(scipy.linalg.svdvals(sm.matrix))[:sigma.size]
+    assert sigma[0] < 0.05                     # the corner zero modes
+    assert np.abs(sigma - ref).max() <= 1e-12
+
+
+def _cluster_projectors(spec):
+    return {s: sum(np.outer(c, c.conj()) for c in
+                   (m.components.ravel() for m in spec.modes_of(s)))
+            for s in ("zero", "pi")}
+
+
+def _rotated_weights(spec, shape):
+    """Corner weights of the rotated modes of each species, in a fixed order."""
+    out = {}
+    for s in ("zero", "pi"):
+        w = [corner_localization(m, 0.25, shape)
+             for m in corner_basis_rotation(spec.modes_of(s), shape)]
+        out[s] = np.array(sorted(w, key=lambda r: int(np.argmax(r))))
+    return out
+
+
+def test_half_size_vectors_match_complex_solve():
+    p = fig_s1_params(Nx=4, Ny=4)
+    bdg = lattice.build_realspace_bdg(p)
+    specs = [quasienergy_spectrum(assemble_sambe(op, 4), tol_zero=5e-2,
+                                  tol_pi=5e-2)
+             for op in (bdg, DrivenBdG(bdg.harmonics, bdg.omega))]
+    assert [s.counts() for s in specs] == [{"zero": 4, "pi": 4}] * 2
+    assert np.abs(specs[0].quasienergies - specs[1].quasienergies).max() <= 1e-12
+    half, cplx = (_cluster_projectors(s) for s in specs)
+    for s in ("zero", "pi"):
+        assert np.abs(half[s] - cplx[s]).max() <= 1e-10
+    half, cplx = (_rotated_weights(s, p.shape) for s in specs)
+    for s in ("zero", "pi"):
+        assert np.abs(half[s] - cplx[s]).max() <= 1e-10
 
 
 def test_driven_toy_stays_complex(rng):
@@ -180,6 +270,12 @@ def test_zone_count_mismatch_raises():
     sm = floquet.SambeMatrix(m_cutoff=1, blockdim=2, omega=W,
                              matrix=np.diag(diag).astype(complex))
     with pytest.raises(RuntimeError, match="holds 3 states.*raise the cutoff"):
+        quasienergy_spectrum(sm)
+    # half-size: two singular values below W/2 put four states in the zone
+    sm = floquet.SambeMatrix(m_cutoff=1, blockdim=2, omega=W,
+                             matrix=np.diag([0.1, 0.2, 4.0]),
+                             mirror=lattice.x_mirror(1, 1))
+    with pytest.raises(RuntimeError, match="holds 4 states.*raise the cutoff"):
         quasienergy_spectrum(sm)
 
 
@@ -297,6 +393,48 @@ def test_corner_rotation_localizes(bench_params, bench_spectrum):
     for species in ("zero", "pi"):
         quads = sorted(c for s, c in corners_seen if s == species)
         assert quads == [0, 1, 2, 3]
+
+
+def _rotation_reference(modes, shape):
+    """Corner rotation with Q built entry by entry (the loop form)."""
+    Lx, Ly = shape
+    qv = np.array([(1 if s % Lx >= Lx // 2 else 0)
+                   + 2 * (1 if s // Lx >= Ly // 2 else 0)
+                   for s in range(Lx * Ly)], dtype=float)
+    k = len(modes)
+    Q = np.zeros((k, k), dtype=complex)
+    for a in range(k):
+        for b in range(k):
+            for va, vb in zip(modes[a].components, modes[b].components):
+                dens = va.conj()[0::2] * vb[0::2] + va.conj()[1::2] * vb[1::2]
+                Q[a, b] += (qv * dens).sum()
+    _, U = np.linalg.eigh((Q + Q.conj().T) / 2)
+    eps = np.array([m.quasienergy for m in modes])
+    out = []
+    for c in range(k):
+        comp = sum(U[a, c] * modes[a].components for a in range(k))
+        comp = comp / np.sqrt((np.abs(comp) ** 2).sum())
+        out.append((float(np.abs(U[:, c]) ** 2 @ eps), comp))
+    return out
+
+
+def test_corner_rotation_matches_loop_reference(bench_params, bench_spectrum):
+    shape = bench_params.shape
+    for species in ("zero", "pi"):
+        modes = bench_spectrum.modes_of(species)
+        rot = corner_basis_rotation(modes, shape)
+        ref = _rotation_reference(modes, shape)
+        assert len(rot) == len(ref) == 4
+        for m, (e_ref, c_ref) in zip(rot, ref):
+            # equal up to a phase: align it, then compare entries
+            overlap = np.vdot(c_ref, m.components)
+            aligned = c_ref * overlap / abs(overlap)
+            assert np.abs(m.components - aligned).max() <= 1e-12
+            assert m.quasienergy == pytest.approx(e_ref, abs=1e-12)
+            ref_mode = floquet.FloquetMode(e_ref, c_ref, species, W)
+            assert np.abs(corner_localization(m, 0.25, shape)
+                          - corner_localization(ref_mode, 0.25, shape)
+                          ).max() <= 1e-12
 
 
 def test_pi_mode_half_harmonic_ladder(bench_spectrum):
