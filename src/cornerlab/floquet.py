@@ -15,7 +15,8 @@ permutation J = tau_x (x) P_n (P_n sends harmonic n to -n), which
 anticommutes with the real Sambe matrix, so K' = [[0, B], [B^T, 0]] in J's
 eigenbasis and the spectrum is +-sigma over the singular values of B.
 Only B is assembled and solved, and only the kept zero and pi vectors are
-rebuilt and mapped back to sites; operators without a mirror stay complex.
+rebuilt from its singular pairs and mapped back to sites; operators
+without a mirror stay complex.
 
 Species windows: a mode is `zero` if its quasienergy lies within tol_zero
 of 0, and `pi` if it lies within tol_pi of +-omega/2 on the quasienergy
@@ -185,10 +186,15 @@ def quasienergy_spectrum(
     B they are +-sigma for each singular value sigma < omega/2: a subset
     eigensolve of B^T B gives the right vectors V, and a thin SVD of B V
     (Rayleigh-Ritz) gives sigma to eps * ||B||, which the squared eigenvalues
-    lose near 0.  Tolerances default to 1e-3 * omega.  Only vectors in the
-    zero/pi windows are kept: +-sigma has (u +- v)/2 on the particles of
-    harmonic n and (u -+ v)/2 on the holes of -n, mapped back to sites.  Pi
-    modes near -omega/2 are shifted to the +omega/2 representative.
+    lose near 0.  Its left vectors B v / sigma err by eps * ||B||^2 / sigma,
+    so in the zero window they come from a subset eigensolve of B B^T,
+    paired with V by an SVD of the small block L^T B V.  Elsewhere B v /
+    sigma stays: near omega/2 the two subset solves may split differently a
+    near-degenerate pair that straddles the cut.
+    Tolerances default to 1e-3 * omega.  Only vectors in the zero/pi windows
+    are kept: +-sigma has (u +- v)/2 on the particles of harmonic n and
+    (u -+ v)/2 on the holes of -n, mapped back to sites.  Pi modes near
+    -omega/2 are shifted to the +omega/2 representative.
     """
     # scipy.linalg costs ~0.1 s to import; only Sambe solves should pay it
     import scipy.linalg
@@ -210,6 +216,13 @@ def quasienergy_spectrum(
                                      subset_by_value=(-1.0, (w / 2) ** 2))
             U, sigma, Zt = scipy.linalg.svd(B @ V, full_matrices=False)
             V = V @ Zt.T
+            n0 = int(np.count_nonzero(sigma <= tol_zero))
+            if n0:
+                # two-sided Rayleigh-Ritz on the zero window's subspaces
+                _, L = scipy.linalg.eigh((B @ B.T).T, overwrite_a=True,
+                                         subset_by_index=(0, n0 - 1))
+                Y, sigma[-n0:], Wt = scipy.linalg.svd(L.T @ B @ V[:, -n0:])
+                U[:, -n0:], V[:, -n0:] = L @ Y, V[:, -n0:] @ Wt.T
             evals = np.concatenate([-sigma, sigma[::-1]])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Sambe eigensolver failed: {exc}") from exc
@@ -314,14 +327,8 @@ def corner_localization(
     wx = max(1, int(round(corner_frac * Lx)))
     wy = max(1, int(round(corner_frac * Ly)))
     grid = site_p.reshape(Ly, Lx)
-    weights = []
-    for cy in (0, 1):
-        for cx in (0, 1):
-            xs = slice(Lx - wx, Lx) if cx else slice(0, wx)
-            ys = slice(Ly - wy, Ly) if cy else slice(0, wy)
-            weights.append(float(grid[ys, xs].sum()))
-    # reorder to (low,low), (high,low), (low,high), (high,high)
-    return np.array(weights)
+    xs, ys = (slice(0, wx), slice(Lx - wx, Lx)), (slice(0, wy), slice(Ly - wy, Ly))
+    return np.array([grid[y, x].sum() for y in ys for x in xs])
 
 
 def fourier_weight_profile(mode: FloquetMode) -> dict[int, float]:

@@ -59,6 +59,11 @@ def test_static_kitaev_zero_modes():
     bdg = kitaev_chain_bdg(8, J=1.0, Delta=1.0, mu0=0.0, mu1=0.0)
     spec = quasienergy_spectrum(assemble_sambe(bdg, 2))
     assert spec.counts() == {"zero": 2, "pi": 0}
+    # B is exactly singular here: the left vectors must still solve K x = 0
+    site = _site_sambe(bdg, 2)
+    for mode in spec.modes:
+        x = mode.components.ravel()
+        assert np.linalg.norm(site @ x - mode.quasienergy * x) <= 1e-12
 
 
 def test_dedup_keeps_blockdim_states(rng):

@@ -143,6 +143,11 @@ def test_enumerate_all_protocols(pid, correction_mode, rng):
     assert rep.covered
     total_prob = sum(rep.branch_probabilities.values()) / len(inputs)
     assert total_prob == pytest.approx(1.0, abs=1e-10)
+    # enumeration forces outcome strings of the gate's length; one more raises
+    signs = next(iter(rep.branch_probabilities))
+    with pytest.raises(ValueError, match="1 forced outcomes left over"):
+        run_protocol(pid, inputs[0], forced=[*signs, 1],
+                     correction_mode=correction_mode, rng=rng)
 
 
 def test_overlong_forced_list_raises(rng):
@@ -151,19 +156,6 @@ def test_overlong_forced_list_raises(rng):
                        match="3 forced outcomes left over after the 3 steps"):
         run_phase(state, 1, forced=[1, 1, 1, -1, -1, -1],
                   correction_mode="classical")
-
-
-@pytest.mark.parametrize("pid", PROTOCOL_IDS)
-def test_enumeration_forces_exactly_the_steps(pid, rng):
-    # enumerate_branches passes outcome strings of the gate's length, so
-    # the left-over check never fires there; one outcome more does
-    inputs = random_logical_inputs(pid, 1, rng)
-    rep = enumerate_branches(pid, inputs)
-    assert rep.covered and rep.n_reachable > 0
-    signs = next(iter(rep.branch_probabilities))
-    with pytest.raises(ValueError, match="1 forced outcomes left over"):
-        run_protocol(pid, inputs[0], forced=[*signs, 1],
-                     correction_mode="classical")
 
 
 @pytest.mark.parametrize("pid", ["hadamard1", "cnot", "tgate2"])
