@@ -1,8 +1,9 @@
 """Configuration-driven experiment runner.
 
 Subcommands: spectrum, modes, protocol, readout, ptcheck.  All physical
-values in the config are in hbar/T units; sampling commands require a
-seed (in the config or via --seed).  Identical config + seed produce
+values in the config are in hbar/T units; `protocol` samples and needs a
+seed (protocol.seed, or --seed, which overrides it).  Every config rule
+and default is in `_SCHEMA`.  Identical config + seed produce
 byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration/validation error, 1 internal error.
@@ -28,64 +29,141 @@ class ConfigError(ValueError):
     pass
 
 
-_LATTICE_KEYS = {
-    "Nx", "Ny", "Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
-    "mu0", "dmu0", "mu1", "dmu1", "omega", "boundary",
+# conditions of the finite-number rules, keyed by the text that names them
+_FINITE = {
+    "": lambda x: True,
+    "> 0": lambda x: x > 0,
+    "!= 0": lambda x: x != 0,
+    "in (0, 0.5]": lambda x: 0 < x <= 0.5,
 }
+
+
+def _check(name: str, val, rule):
+    """`val` normalized if it passes `rule`, else ConfigError.
+
+    A rule is an int (an integer of at least that), a tuple (one of its
+    choices), a key of `_FINITE` (a finite number meeting that condition,
+    returned as a float) or a function (name, val) -> normalized value.
+    """
+    if isinstance(rule, int):
+        ok = isinstance(val, int) and not isinstance(val, bool) and val >= rule
+        want = f"an integer of at least {rule}"
+    elif isinstance(rule, tuple):
+        ok = isinstance(val, str) and val in rule
+        want = "one of " + ", ".join(rule)
+    elif isinstance(rule, str):
+        ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+              and abs(val) <= sys.float_info.max and _FINITE[rule](val))
+        want = f"a finite number {rule}".rstrip()
+    else:
+        return rule(name, val)
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {val!r}")
+    return float(val) if isinstance(rule, str) else val
+
+
+def _parity(name: str, val):
+    try:
+        readout.config_for_parity(majorana.parse_string(val))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a measurable Majorana string, "
+                          f"got {val!r}: {exc}") from exc
+    return val
+
+
+def _couplings(name: str, val):
+    if not isinstance(val, dict) or set(val) != {"1", "2", "3", "4"}:
+        raise ConfigError(f"{name} must give corners 1..4, got {val!r}")
+    return {k: _check(f"{name}.{k}", val[k], "") for k in sorted(val)}
+
+
+def _lambdas(name: str, val):
+    if isinstance(val, list):
+        val = [_check(name, x, "> 0") for x in val]
+    if not isinstance(val, list) or len(set(val)) < 2:
+        raise ConfigError(f"{name} must list at least two distinct positive "
+                          f"numbers, got {val!r}")
+    return val
+
+
+# _SCHEMA[section][key] = (default, rule); a None default means no value
+# unless given.  The lattice section's rule is LatticeParams itself.
 _SCHEMA = {
-    "schema_version": None,
-    "lattice": _LATTICE_KEYS,
-    "sambe": {"cutoff", "tol_zero", "tol_pi"},
-    "modes": {"corner_frac"},
-    "protocol": {"id", "mode", "seed", "n_inputs", "samples", "correction_mode"},
-    "readout": {
-        "parity", "couplings", "eps_plus", "eps_minus", "direct",
-        "flux0", "flux1",
-        "sweep_variable", "sweep_start", "sweep_stop", "sweep_points",
+    "sambe": {"cutoff": (6, 1), "tol_zero": (None, "> 0"),
+              "tol_pi": (None, "> 0")},
+    "modes": {"corner_frac": (0.25, "in (0, 0.5]")},
+    "protocol": {
+        "id": (None, protocols.PROTOCOL_IDS),
+        "mode": ("enumerate", ("enumerate", "sample")),
+        "seed": (None, 0),
+        "n_inputs": (3, 1), "samples": (20, 1),
+        "correction_mode": ("measured", ("measured", "classical")),
     },
-    "ptcheck": {"lambdas", "expansion_sites", "expansion_order"},
+    "readout": {
+        "parity": ("i g01 g02", _parity),
+        "couplings": ({str(k): v for k, v in readout.DEFAULT_COUPLINGS.items()},
+                      _couplings),
+        "eps_plus": (1.0, "!= 0"), "eps_minus": (1.0, "!= 0"),
+        "direct": (readout.DEFAULT_DIRECT, ""),
+        "flux0": (0.0, ""), "flux1": (0.0, ""),
+        "sweep_variable": ("flux0", ("flux0", "flux1")),
+        "sweep_start": (0.0, ""), "sweep_stop": (2 * np.pi, ""),
+        "sweep_points": (41, 1),
+    },
+    "ptcheck": {
+        "lambdas": ([float(x) for x in np.geomspace(1e-2, 1e-1, 6)], _lambdas),
+        "expansion_sites": (60, 40),
+        "expansion_order": (3, 0),
+    },
 }
 
 
-def load_config(path: str | Path) -> dict:
-    """Parse and strictly validate the experiment config."""
+def load_config(path: str | Path, seed: int | None = None) -> dict:
+    """Read a config, set `protocol.seed` to `seed` if one is given, check
+    every key present against `_SCHEMA` and return the normalized config:
+    every section but `lattice` complete with defaults, `lattice` as
+    `dataclasses.asdict(LatticeParams(...))`, all JSON-serialisable."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    for key, val in cfg.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config section {key!r}")
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            continue
-        if not isinstance(val, dict):
-            raise ConfigError(f"section {key!r} must be an object")
-        for sub in val:
-            if sub not in allowed:
-                raise ConfigError(f"unknown key {key}.{sub!r}")
-    if cfg.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg.get('schema_version')}")
+    version = raw.pop("schema_version", SCHEMA_VERSION)
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, "
+                          f"got {version!r}")
+    for name, sec in raw.items():
+        if name != "lattice" and name not in _SCHEMA:
+            raise ConfigError(f"unknown config section {name!r}")
+        if not isinstance(sec, dict):
+            raise ConfigError(f"section {name!r} must be an object")
+        keys = _SCHEMA.get(name) or [
+            f.name for f in dataclasses.fields(LatticeParams)]
+        for key in sec:
+            if key not in keys:
+                raise ConfigError(f"unknown key {name}.{key!r}")
+    if seed is not None:
+        raw.setdefault("protocol", {})["seed"] = seed
+    cfg: dict = {"schema_version": SCHEMA_VERSION}
+    if "lattice" in raw:
+        try:
+            cfg["lattice"] = dataclasses.asdict(LatticeParams(**raw["lattice"]))
+        except ValueError as exc:
+            raise ConfigError(f"lattice.{exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"bad lattice parameters: {exc}") from exc
+    for name, schema in _SCHEMA.items():
+        sec = raw.get(name, {})
+        cfg[name] = {key: _check(f"{name}.{key}", sec[key], rule)
+                     if key in sec else default
+                     for key, (default, rule) in schema.items()}
     return cfg
 
 
-def lattice_from_config(cfg: dict) -> LatticeParams:
-    if "lattice" not in cfg:
-        raise ConfigError("config needs a 'lattice' section")
-    sec = dict(cfg["lattice"])
-    try:
-        return LatticeParams(**sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lattice parameters: {exc}") from exc
-
-
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def write_rows(path: Path, header: list[str], rows: list[list], fmt: str):
@@ -105,47 +183,21 @@ def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def _count(sec: dict, section: str, key: str, default: int | None,
-           low: int = 1) -> int:
-    """A JSON integer config value that must be at least `low`."""
-    val = sec.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {val!r}")
-    if val < low:
-        raise ConfigError(f"{section}.{key} must be at least {low}, got {val}")
-    return val
-
-
-def _number(sec: dict, section: str, key: str, default: float) -> float:
-    """A JSON number config value."""
-    val = sec.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {val!r}")
-    return float(val)
-
-
 def _spectrum_of(cfg: dict):
-    params = lattice_from_config(cfg)
-    sambe_cfg = cfg.get("sambe", {})
-    cutoff = _count(sambe_cfg, "sambe", "cutoff", 6)
-    tols = {key: _number(sambe_cfg, "sambe", key, None)
-            for key in ("tol_zero", "tol_pi") if key in sambe_cfg}
-    for key, tol in tols.items():
-        if not tol > 0:
-            raise ConfigError(f"sambe.{key} must be positive, got {tol}")
-    bdg = build_realspace_bdg(params)
-    sm = floquet.assemble_sambe(bdg, cutoff)
-    spec = floquet.quasienergy_spectrum(sm, **tols)
+    if "lattice" not in cfg:
+        raise ConfigError("config needs a 'lattice' section")
+    params = LatticeParams(**cfg["lattice"])
+    sambe = cfg["sambe"]
+    sm = floquet.assemble_sambe(build_realspace_bdg(params), sambe["cutoff"])
+    spec = floquet.quasienergy_spectrum(sm, sambe["tol_zero"], sambe["tol_pi"])
     return params, spec
 
 
 def cmd_spectrum(cfg: dict, out: Path, fmt: str) -> int:
     params, spec = _spectrum_of(cfg)
     rows = []
-    mode_eps = {
-        "zero": sorted(m.quasienergy for m in spec.modes_of("zero")),
-        "pi": sorted(m.quasienergy for m in spec.modes_of("pi")),
-    }
+    mode_eps = {s: sorted(m.quasienergy for m in spec.modes_of(s))
+                for s in ("zero", "pi")}
     for i, e in enumerate(spec.quasienergies):
         species = floquet.species_of(float(e), spec.omega,
                                      spec.tol_zero, spec.tol_pi)
@@ -163,9 +215,7 @@ def cmd_spectrum(cfg: dict, out: Path, fmt: str) -> int:
 
 
 def cmd_modes(cfg: dict, out: Path, fmt: str) -> int:
-    frac = _number(cfg.get("modes", {}), "modes", "corner_frac", 0.25)
-    if not 0 < frac <= 0.5:
-        raise ConfigError(f"modes.corner_frac must lie in (0, 0.5], got {frac}")
+    frac = cfg["modes"]["corner_frac"]
     params, spec = _spectrum_of(cfg)
     shape = params.shape
     rotated = []
@@ -180,22 +230,16 @@ def cmd_modes(cfg: dict, out: Path, fmt: str) -> int:
         weights = floquet.corner_localization(mode, frac, shape)
         rows.append([i, mode.species, float(mode.quasienergy),
                      *[float(w) for w in weights]])
-        m = mode.m_cutoff
-        comp0 = mode.harmonic(0)
-        comp1 = mode.harmonic(1) if m >= 1 else np.zeros_like(comp0)
-
-        def site_prob(vec):
-            p = np.abs(vec) ** 2
-            return (p[0::2] + p[1::2]).tolist()
-
+        # sambe.cutoff >= 1, so harmonic 1 exists
+        prob = [np.abs(mode.harmonic(n)) ** 2 for n in (0, 1)]
         payload.append({
             "index": i,
             "species": mode.species,
             "quasienergy": float(mode.quasienergy),
             "fourier_weights": {str(k): v for k, v in
                                 floquet.fourier_weight_profile(mode).items()},
-            "site_probability_n0": site_prob(comp0),
-            "site_probability_n1": site_prob(comp1),
+            "site_probability_n0": (prob[0][0::2] + prob[0][1::2]).tolist(),
+            "site_probability_n1": (prob[1][0::2] + prob[1][1::2]).tolist(),
         })
     write_rows(out / "corner_weights",
                ["index", "species", "quasienergy", "c00", "c10", "c01", "c11"],
@@ -209,31 +253,22 @@ def cmd_modes(cfg: dict, out: Path, fmt: str) -> int:
 
 
 def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
-    sec = cfg.get("protocol", {})
-    pid = sec.get("id")
-    if pid not in protocols.PROTOCOL_IDS:
-        raise ConfigError(f"unknown protocol id {pid!r}")
-    mode = sec.get("mode", "enumerate")
-    if mode not in ("enumerate", "sample"):
-        raise ConfigError(f"protocol mode must be enumerate or sample")
-    if sec.get("seed") is None:
+    sec = cfg["protocol"]
+    pid, mode, seed = sec["id"], sec["mode"], sec["seed"]
+    if pid is None:
+        raise ConfigError("protocol runs require protocol.id")
+    if seed is None:
         raise ConfigError("protocol runs require a seed")
-    seed = _count(sec, "protocol", "seed", None, low=0)
+    run_id = {"protocol": pid, "mode": mode, "seed": seed}
     rng = np.random.default_rng(seed)
-    n_inputs = _count(sec, "protocol", "n_inputs", 3)
-    correction_mode = sec.get("correction_mode", "measured")
-    if correction_mode not in ("measured", "classical"):
-        raise ConfigError("protocol.correction_mode must be measured or "
-                          f"classical, got {correction_mode!r}")
+    n_inputs, correction_mode = sec["n_inputs"], sec["correction_mode"]
     inputs = protocols.random_logical_inputs(pid, n_inputs, rng)
 
     if mode == "enumerate":
         report = protocols.enumerate_branches(
             pid, inputs, correction_mode=correction_mode, rng=rng)
         write_json(out / "protocol_report.json", {
-            "protocol": pid,
-            "mode": mode,
-            "seed": seed,
+            **run_id,
             "branches": report.n_branches,
             "reachable": report.n_reachable,
             "min_fidelity": report.min_fidelity,
@@ -244,7 +279,7 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
               f"{report.n_reachable} reachable (branch, input) pairs")
         return 0
 
-    samples = _count(sec, "protocol", "samples", 20)
+    samples = sec["samples"]
     logs = []
     worst = 0.0
     for state in inputs:
@@ -260,43 +295,21 @@ def cmd_protocol(cfg: dict, out: Path, fmt: str) -> int:
                 "retries": run.total_retries,
                 "fidelity": fid,
             })
-    write_json(out / "protocol_log.json", {
-        "protocol": pid, "mode": mode, "seed": seed, "runs": logs,
-    })
+    write_json(out / "protocol_log.json", {**run_id, "runs": logs})
     write_json(out / "protocol_report.json", {
-        "protocol": pid, "mode": mode, "seed": seed,
-        "samples": samples * n_inputs, "max_infidelity": worst,
-    })
+        **run_id, "samples": samples * n_inputs, "max_infidelity": worst})
     print(f"{pid}: max infidelity {worst:.3e} over {samples * n_inputs} runs")
     return 0
 
 
 def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
-    sec = cfg.get("readout", {})
-    parity_text = sec.get("parity", "i g01 g02")
-    try:
-        parity = majorana.parse_string(parity_text)
-        readout.config_for_parity(parity)
-    except (AttributeError, ValueError) as exc:
-        raise ConfigError("readout.parity must be a measurable Majorana "
-                          f"string, got {parity_text!r}: {exc}") from exc
-    try:
-        couplings = {int(k): complex(v) for k, v in
-                     sec.get("couplings", readout.DEFAULT_COUPLINGS).items()}
-        direct = complex(sec.get("direct", readout.DEFAULT_DIRECT))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"readout.couplings and readout.direct must be "
-                          f"numbers: {exc}") from exc
-    if set(couplings) != {1, 2, 3, 4}:
-        raise ConfigError("readout.couplings must give corners 1..4, got "
-                          f"{sorted(couplings)}")
-    eps = (_number(sec, "readout", "eps_plus", 1.0),
-           _number(sec, "readout", "eps_minus", 1.0))
-    for key, val in zip(("eps_plus", "eps_minus"), eps):
-        if val == 0:
-            raise ConfigError(f"readout.{key} must be nonzero")
-    flux0 = _number(sec, "readout", "flux0", 0.0)
-    flux1 = _number(sec, "readout", "flux1", 0.0)
+    sec = cfg["readout"]
+    parity_text = sec["parity"]
+    parity = majorana.parse_string(parity_text)
+    couplings = {int(k): complex(v) for k, v in sec["couplings"].items()}
+    direct = complex(sec["direct"])
+    eps = (sec["eps_plus"], sec["eps_minus"])
+    flux0, flux1 = sec["flux0"], sec["flux1"]
 
     if len(parity) == 4:
         cfg4 = readout.config_for_parity(parity, couplings, eps, direct,
@@ -313,23 +326,19 @@ def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
                                ("a0", "a1_term", "a2_term", "a3_term")]])
         write_rows(out / "joint_conductance",
                    ["p12", "p34", "G", "a0", "a1", "a2", "a3"], rows, fmt)
+        distinct = sorted({round(r[2], 12) for r in rows})
         write_json(out / "readout_report.json", {
             "parity": parity_text,
             "tuned_fluxes": [phi12, phi43],
-            "distinct_values": sorted({round(r[2], 12) for r in rows}),
+            "distinct_values": distinct,
         })
         print(f"joint readout: tuned fluxes ({phi12:.6f}, {phi43:.6f}), "
-              f"{len({round(r[2], 12) for r in rows})} distinct conductances")
+              f"{len(distinct)} distinct conductances")
         return 0
 
-    var = sec.get("sweep_variable", "flux0")
-    if var not in ("flux0", "flux1"):
-        raise ConfigError("sweep_variable must be flux0 or flux1")
-    start = _number(sec, "readout", "sweep_start", 0.0)
-    stop = _number(sec, "readout", "sweep_stop", 2 * np.pi)
-    points = _count(sec, "readout", "sweep_points", 41)
+    var, points = sec["sweep_variable"], sec["sweep_points"]
     rows = []
-    for val in np.linspace(start, stop, points):
+    for val in np.linspace(sec["sweep_start"], sec["sweep_stop"], points):
         f0, f1 = (val, flux1) if var == "flux0" else (flux0, val)
         c = readout.config_for_parity(parity, couplings, eps, direct,
                                       flux0=f0, flux1=f1)
@@ -342,12 +351,13 @@ def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
                [var, "parity", "G", "g0", "interference"], rows, fmt)
 
     report: dict = {"parity": parity_text, "sweep_variable": var}
-    if var == "flux1":
+    if var == "flux1" and res.species_pair == "0pi":
+        # the 0pi amplitude has only odd harmonics of omega/2, so the
+        # omega-periodic flux averages its cross term, the contrast, to 0
+        print("no bessel fit: a 0pi pair has no parity contrast in this model")
+    elif var == "flux1":
         # one-parameter Bessel fit of the parity contrast
-        c0 = readout.config_for_parity(parity, couplings, eps, direct,
-                                       flux0=flux0, flux1=0.0)
-        pair = readout.two_lead_conductance(c0, 1).species_pair
-        order = {"00": 0, "pipi": 1, "0pi": 0.5}[pair]
+        order = {"00": 0, "pipi": 1}[res.species_pair]
         xs = np.array([r[0] for r in rows[0::2]])
         contrast = np.array([rows[2 * i][2] - rows[2 * i + 1][2]
                              for i in range(points)]) / 2
@@ -367,18 +377,9 @@ def cmd_readout(cfg: dict, out: Path, fmt: str) -> int:
 
 
 def cmd_ptcheck(cfg: dict, out: Path, fmt: str) -> int:
-    sec = cfg.get("ptcheck", {})
-    lambdas = sec.get("lambdas", list(np.geomspace(1e-2, 1e-1, 6)))
-    if not (isinstance(lambdas, list) and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
-            for x in lambdas) and len(set(lambdas)) >= 2):
-        raise ConfigError("ptcheck.lambdas must list at least two distinct "
-                          f"positive numbers, got {lambdas!r}")
-    lambdas = [float(x) for x in lambdas]
-    sites = _count(sec, "ptcheck", "expansion_sites", 60, low=40)
-    order = _count(sec, "ptcheck", "expansion_order", 3, low=0)
+    sec = cfg["ptcheck"]
     rows = []
-    for lam in lambdas:
+    for lam in sec["lambdas"]:
         params = perturbation.TwoLeadParams(
             eps_plus=1.0, eps_minus=1.0, n_i=0, n_j=0,
             coupling_i={("0", 0): lam}, coupling_j={("0", 0): lam},
@@ -390,7 +391,7 @@ def cmd_ptcheck(cfg: dict, out: Path, fmt: str) -> int:
     slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
     write_rows(out / "ptcheck_scaling", ["lambda", "abs_error"], rows, fmt)
 
-    hist = _expansion_report(sites, order)
+    hist = _expansion_report(sec["expansion_sites"], sec["expansion_order"])
     write_rows(out / "ptcheck_residuals", ["order", "residual"],
                [[k, r] for k, r in enumerate(hist)], fmt)
     write_json(out / "ptcheck_report.json", {
@@ -411,19 +412,20 @@ def _two_lead_error(params) -> float:
 
 
 def _expansion_report(sites: int, order: int):
-    from cornerlab.perturbation import (
-        majorana_mode_expansion, pi_mode_seeds, quadratic_from_bdg,
-    )
-
     omega = 2 * np.pi
     bdg = kitaev_chain_bdg(sites, J=1.2, Delta=1.2,
                            mu0=1.0, mu1=0.5, omega=omega)
-    a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
-    a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
-    seeds = pi_mode_seeds(a0, a1, omega, tol=0.05)
-    exp = majorana_mode_expansion(a0, a1, seeds[0], "pi", order, omega=omega,
-                                  seed_tol=0.2)
+    a0 = perturbation.quadratic_from_bdg(np.asarray(bdg.component(0)))
+    a1 = perturbation.quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
+    seeds = perturbation.pi_mode_seeds(a0, a1, omega, tol=0.05)
+    exp = perturbation.majorana_mode_expansion(
+        a0, a1, seeds[0], "pi", order, omega=omega, seed_tol=0.2)
     return [float(h) for h in exp.residual_history]
+
+
+_COMMANDS = {"spectrum": cmd_spectrum, "modes": cmd_modes,
+             "protocol": cmd_protocol, "readout": cmd_readout,
+             "ptcheck": cmd_ptcheck}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -432,28 +434,20 @@ def main(argv: list[str] | None = None) -> int:
         description="Driven corner-Majorana laboratory experiment runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "modes", "protocol", "readout", "ptcheck"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name == "protocol":
+            p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.setdefault("protocol", {})["seed"] = args.seed
+        cfg = load_config(args.config, getattr(args, "seed", None))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "spectrum": cmd_spectrum,
-            "modes": cmd_modes,
-            "protocol": cmd_protocol,
-            "readout": cmd_readout,
-            "ptcheck": cmd_ptcheck,
-        }[args.command]
-        return handler(cfg, out, args.format)
+        return _COMMANDS[args.command](cfg, out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -72,17 +72,23 @@ class LatticeParams:
     boundary: str = "open"
 
     def __post_init__(self):
-        if self.Nx < 1 or self.Ny < 1:
-            raise ValueError(f"need Nx, Ny >= 1, got {self.Nx}, {self.Ny}")
-        if self.omega <= 0:
-            raise ValueError(f"need omega > 0, got {self.omega}")
+        """Reject bad fields; each message starts with the field's name."""
+        for name in ("Nx", "Ny"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, "
+                                 f"got {v!r}")
         if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+            raise ValueError(f"boundary must be in {BOUNDARIES}, "
+                             f"got {self.boundary!r}")
         for name in ("Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
                      "mu0", "dmu0", "mu1", "dmu1", "omega"):
             v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"coupling {name} is not finite: {v}")
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not np.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        if self.omega <= 0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
 
     @property
     def shape(self) -> tuple[int, int]:

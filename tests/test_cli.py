@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cornerlab import cli
+from cornerlab.lattice import LatticeParams
 
 
 def run_cli(*args):
@@ -96,14 +99,30 @@ def test_config_validation(tmp_path):
             ("ptcheck", "ptcheck", "expansion_sites", "x"),
             ("ptcheck", "ptcheck", "expansion_sites", 39),
             ("ptcheck", "ptcheck", "lambdas", [0.05]),
-            ("ptcheck", "ptcheck", "lambdas", [0.05, 0.05])):
+            ("ptcheck", "ptcheck", "lambdas", [0.05, 0.05]),
+            ("spectrum", "lattice", "Nx", 2.5),
+            ("spectrum", "lattice", "Nx", True),
+            ("spectrum", None, "schema_version", True),
+            ("readout", "readout", "flux1", float("nan")),
+            ("ptcheck", "ptcheck", "lambdas", [0.01, float("inf")]),
+            ("readout", "readout", "sweep_variable", "flux2"),
+            ("protocol", "protocol", "mode", "bogus"),
+            ("protocol", "protocol", "id", "toffoli"),
+            ("spectrum", "lattice", "Jx", True),
+            ("readout", "readout", "flux0", 10 ** 400),
+            ("protocol", "protocol", "samples", True),
+            ("readout", "readout", "direct", True)):
         cfg = dict(KITAEV, protocol={"id": "cnot", "mode": "sample",
                                      "seed": 5})
-        cfg[section] = dict(cfg.get(section, {}), **{key: val})
+        if section is None:  # a top-level key
+            cfg[key] = val
+        else:
+            cfg[section] = dict(cfg.get(section, {}), **{key: val})
         res = run_cli(command, "--config", write(tmp_path, "range.json", cfg),
                       "--out", str(tmp_path / "o"))
         assert res.returncode == 2, (section, key, val, res.stderr)
-        assert f"{section}.{key} must" in res.stderr
+        name = key if section is None else f"{section}.{key}"
+        assert f"{name} must" in res.stderr
 
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -159,19 +178,28 @@ def test_protocol_requires_seed(tmp_path):
 
 
 def test_readout_sweep_and_bessel(tmp_path):
-    cfg = {"readout": {"parity": "i gp1 gp2", "direct": 0.02, "flux0": 0.9,
-                       "sweep_variable": "flux1", "sweep_start": 0.0,
-                       "sweep_stop": 4.0, "sweep_points": 9}}
-    path = write(tmp_path, "cfg.json", cfg)
-    out = tmp_path / "out"
-    res = run_cli("readout", "--config", path, "--out", str(out))
-    assert res.returncode == 0
-    lines = (out / "conductance_sweep.csv").read_text().splitlines()
-    assert lines[0] == "flux1,parity,G,g0,interference"
-    assert len(lines) == 1 + 2 * 9
-    report = json.loads((out / "readout_report.json").read_text())
-    assert report["bessel_order"] == 1
-    assert report["max_relative_residual"] < 1e-6
+    for parity in ("i gp1 gp2", "i g04 gp4"):
+        cfg = {"readout": {"parity": parity, "direct": 0.02, "flux0": 0.9,
+                           "sweep_variable": "flux1", "sweep_start": 0.0,
+                           "sweep_stop": 4.0, "sweep_points": 9}}
+        path = write(tmp_path, "cfg.json", cfg)
+        out = tmp_path / "out"
+        res = run_cli("readout", "--config", path, "--out", str(out))
+        assert res.returncode == 0
+        lines = (out / "conductance_sweep.csv").read_text().splitlines()
+        assert lines[0] == "flux1,parity,G,g0,interference"
+        assert len(lines) == 1 + 2 * 9
+        report = json.loads((out / "readout_report.json").read_text())
+        if parity == "i gp1 gp2":
+            assert report["bessel_order"] == 1
+            assert report["max_relative_residual"] < 1e-6
+            continue
+        # a 0pi pair has no parity contrast, so there is nothing to fit
+        g = [float(line.split(",")[2]) for line in lines[1:]]
+        assert g[0::2] == g[1::2]
+        assert report == {"schema_version": 1, "parity": parity,
+                          "sweep_variable": "flux1"}
+        assert "no parity contrast" in res.stdout
 
 
 def test_readout_joint(tmp_path):
@@ -207,12 +235,50 @@ def test_reproducibility_byte_identical(tmp_path):
     for name in ("protocol_log.json", "protocol_report.json"):
         assert (out / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
+    # only the protocol command samples, so only it takes --seed
+    res = run_cli("spectrum", "--config", write(tmp_path, "k.json", KITAEV),
+                  "--out", str(tmp_path / "d"), "--seed", "9")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --seed" in res.stderr
+
 
 def test_load_config_round_trip(tmp_path):
     path = write(tmp_path, "cfg.json", KITAEV)
     cfg = cli.load_config(path)
     again = json.loads(json.dumps(cfg))
     assert again == cfg
+
+    # spelling out every default gives the same normalized config (a None
+    # default means "no value" and has no spelling)
+    spelled = {"schema_version": 1, "lattice": dict(
+        KITAEV["lattice"], **{f.name: f.default for f in
+                              dataclasses.fields(LatticeParams)
+                              if f.default is not dataclasses.MISSING})}
+    for name, sec in cli._SCHEMA.items():
+        spelled[name] = {key: default for key, (default, _) in sec.items()
+                         if default is not None}
+        spelled[name].update(KITAEV.get(name, {}))
+    assert cli.load_config(write(tmp_path, "spelled.json", spelled)) == cfg
+
+    # every default passes its own rule
+    for name, sec in cli._SCHEMA.items():
+        for key, (default, rule) in sec.items():
+            if default is not None:
+                assert cli._check(f"{name}.{key}", default, rule) == default
+
+    # every section present is checked, whatever the command
+    bad = dict(KITAEV, readout={"flux1": float("nan")})
+    res = run_cli("spectrum", "--config", write(tmp_path, "bad.json", bad),
+                  "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "readout.flux1 must" in res.stderr
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = cli.load_config(write(tmp_path, "readme.json", json.loads(example)))
+    assert cfg["lattice"]["Nx"] == 6 and cfg["protocol"]["id"] == "cnot"
 
 
 def test_json_output_format(tmp_path):
