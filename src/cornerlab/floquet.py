@@ -72,10 +72,9 @@ class FloquetMode:
         return (self.components.shape[0] - 1) // 2
 
     def harmonic(self, n: int) -> np.ndarray:
+        if abs(n) > self.m_cutoff:
+            raise IndexError(f"harmonic {n} outside the cutoff M = {self.m_cutoff}")
         return self.components[n + self.m_cutoff]
-
-    def norm_sq(self) -> float:
-        return float((np.abs(self.components) ** 2).sum())
 
 
 @dataclass
@@ -336,25 +335,3 @@ def fourier_weight_profile(mode: FloquetMode) -> dict[int, float]:
     M = mode.m_cutoff
     w = (np.abs(mode.components) ** 2).sum(axis=1)
     return {n - M: float(w[n]) for n in range(2 * M + 1)}
-
-
-def _window_eigs(evals: np.ndarray, omega: float, count: int) -> np.ndarray:
-    """The `count` folded eigenvalues closest to 0 and to omega/2, sorted
-    by circular distance within each window and concatenated."""
-    near0 = np.sort(np.abs(evals))[:count]
-    nearpi = np.sort(circular_distance(evals, omega / 2, omega))[:count]
-    return np.concatenate([near0, nearpi])
-
-
-def convergence_check(bdg: DrivenBdG, M: int) -> float:
-    """Max shift of the 16 physical quasienergies nearest 0 and omega/2
-    (or all, if fewer) between cutoffs M-1 and M (central-zone
-    quasienergies, matched by sorted order within each window)."""
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
-    a = quasienergy_spectrum(assemble_sambe(bdg, M - 1)).quasienergies
-    b = quasienergy_spectrum(assemble_sambe(bdg, M)).quasienergies
-    n = min(16, a.size)
-    wa = _window_eigs(a, bdg.omega, n)
-    wb = _window_eigs(b, bdg.omega, n)
-    return float(np.abs(wa - wb).max())

@@ -23,6 +23,7 @@ Conventions
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -85,7 +86,7 @@ class LatticeParams:
                      "mu0", "dmu0", "mu1", "dmu1", "omega"):
             v = getattr(self, name)
             if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not np.isfinite(v)):
+                    or not abs(v) <= sys.float_info.max):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
@@ -212,37 +213,9 @@ class DrivenBdG:
     def max_harmonic(self) -> int:
         return max(abs(m) for m in self._h)
 
-    def at_time(self, t: float) -> np.ndarray:
-        """Instantaneous matrix H(t)."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for m, h in self._h.items():
-            out += h * np.exp(1j * m * self.omega * t)
-        return out
-
     def __repr__(self):
         ms = sorted(self._h)
         return f"DrivenBdG(dim={self.dim}, harmonics={ms}, omega={self.omega:g})"
-
-    def save_npz(self, path) -> None:
-        """Export as dense complex arrays: one `h_<m>` entry per harmonic,
-        the scalar `omega` and, if present, `mirror_perm`/`mirror_sign`
-        (numpy .npz layout)."""
-        payload = {f"h_{m}": np.asarray(h) for m, h in self._h.items()}
-        payload["omega"] = np.array(self.omega)
-        if self.mirror is not None:
-            payload["mirror_perm"] = self.mirror.perm
-            payload["mirror_sign"] = self.mirror.sign
-        np.savez(path, **payload)
-
-    @classmethod
-    def load_npz(cls, path) -> "DrivenBdG":
-        with np.load(path) as data:
-            omega = float(data["omega"])
-            harmonics = {int(k[2:]): data[k] for k in data.files
-                         if k.startswith("h_")}
-            mirror = (Mirror(data["mirror_perm"], data["mirror_sign"])
-                      if "mirror_perm" in data.files else None)
-        return cls(harmonics, omega, mirror)
 
 
 @dataclass(frozen=True)
@@ -459,19 +432,4 @@ def reduce_to_1d(params: LatticeParams, atol: float = 1e-12) -> DrivenBdG:
         mu0=params.mu0 - params.dmu0,
         mu1=params.mu1 - params.dmu1,
         omega=params.omega,
-    )
-
-
-def row_block(bdg: DrivenBdG, params: LatticeParams, j: int) -> DrivenBdG:
-    """Extract the BdG harmonics restricted to row j (1-based) of the lattice."""
-    Lx, Ly = params.shape
-    if not 1 <= j <= Ly:
-        raise ValueError(f"row {j} outside 1..{Ly}")
-    y = j - 1
-    sites = [y * Lx + x for x in range(Lx)]
-    sel = np.array([2 * s + n for s in sites for n in (0, 1)])
-    return DrivenBdG(
-        {m: h[np.ix_(sel, sel)] for m, h in bdg.harmonics.items()},
-        bdg.omega,
-        None if bdg.mirror is None else x_mirror(Lx, 1),
     )

@@ -223,16 +223,6 @@ class FockState:
             raise ValueError(f"state not normalized: |psi| = {n}")
         self.amplitudes = amp
 
-    @property
-    def sector(self) -> str:
-        amp = self.amplitudes
-        val = float(np.vdot(amp, apply(TOTAL_PARITY, amp)).real)
-        if abs(val - 1) < 1e-10:
-            return "even"
-        if abs(val + 1) < 1e-10:
-            return "odd"
-        return "mixed"
-
 
 @lru_cache(maxsize=1)
 def _logical_basis() -> dict[tuple[int, int, int], np.ndarray]:

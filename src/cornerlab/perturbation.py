@@ -474,9 +474,6 @@ class FourLeadAmplitude:
     c24: complex
     c13: complex
 
-    def coefficients(self) -> dict[str, complex]:
-        return {"g01 g04": self.c14, "g02 g04": self.c24, "g01 g03": self.c13}
-
 
 def four_lead_effective(params: FourLeadParams) -> FourLeadAmplitude:
     """Second- plus third-order l1 -> l4 amplitude:

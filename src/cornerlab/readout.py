@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cornerlab import majorana as mj
-from cornerlab.majorana import FockState, MajoranaString, g, string
+from cornerlab.majorana import MajoranaString, g, string
 from cornerlab.lattice import TWO_PI
 from cornerlab.perturbation import (
     FourLeadAmplitude,
@@ -88,12 +88,6 @@ class ConductanceResult:
     decomposition: dict[str, float]
     details: dict[str, float] = field(default_factory=dict)
     species_pair: str = ""
-
-    def check_consistency(self, atol: float = 1e-12):
-        total = sum(self.decomposition.values())
-        if abs(total - self.value) > atol:
-            raise AssertionError(
-                f"decomposition sum {total!r} != value {self.value!r}")
 
 
 def _simpson_average(samples: np.ndarray, n_intervals: int) -> float:
@@ -342,26 +336,3 @@ def config_for_parity(
         direct=direct, flux0=flux0, flux1=flux1, omega=omega,
     )
     return LeadConfig(leads=leads, measured=parity, two_lead=params)
-
-
-def simulate_readout(
-    state: FockState,
-    parity: MajoranaString,
-    cfg: LeadConfig,
-    rng: np.random.Generator,
-) -> tuple[int, float, FockState]:
-    """Sample the Born outcome of the parity measurement and emit the
-    conductance the interferometer reads for the collapsed state."""
-    if cfg.measured != parity:
-        raise ValueError(
-            f"configuration measures {cfg.measured!r}, not {parity!r}")
-    res = mj.measure(state, parity, rng=rng)
-    if cfg.two_lead is not None:
-        cond = two_lead_conductance(cfg, res.outcome).value
-    else:
-        post = res.post_state
-        p12 = float(mj.expectation(post, string(1j, [g("0", 1), g("0", 2)])))
-        p34 = float(mj.expectation(post, string(1j, [g("0", 3), g("0", 4)])))
-        p4 = float(mj.expectation(post, cfg.measured))
-        cond = joint_conductance(cfg, (p12, p34), p1234=p4).value
-    return res.outcome, float(cond), res.post_state

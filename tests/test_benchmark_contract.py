@@ -1,13 +1,15 @@
 """What the benchmark harness in perfbench/ relies on in cornerlab.
 
 The traced run wraps every (module, attribute) pair that
-perfbench/tracing.py lists, and the gate-branches workload counts the
+perfbench/tracing.py lists, the workloads and the selftest call cornerlab
+through module attributes, and the gate-branches workload counts the
 top-level protocol runs of an enumeration by replacing the module attribute
 `protocols.run_protocol`.  A rename or a changed call path breaks those
-runs without failing any other test, so both are checked here.  The
-tracing file is loaded by path and only read.
+runs without failing any other test, so all three are checked here.  The
+perfbench files are loaded by path or parsed, and only read.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,7 +19,8 @@ import pytest
 
 from cornerlab import protocols
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -37,6 +40,33 @@ def test_traced_layers_resolve():
             assert hasattr(owner, part), f"cornerlab.{mod_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"cornerlab.{mod_name}.{attr}"
+
+
+def test_benchmark_names_resolve():
+    # every <module>.<name> chain that the workloads and the selftest read
+    # off a module imported with `from cornerlab import <module>`
+    for script in ("workloads.py", "selftest.py"):
+        tree = ast.parse((PERFBENCH / script).read_text())
+        modules = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "cornerlab"
+                   for alias in node.names}
+        chains = set()
+        for node in ast.walk(tree):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.insert(0, node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id in modules:
+                chains.add((modules[node.id], *parts))
+        assert chains, script
+        for mod_name, *attrs in chains:
+            owner = importlib.import_module(f"cornerlab.{mod_name}")
+            for part in attrs:
+                assert hasattr(owner, part), \
+                    f"{script}: cornerlab.{mod_name}.{'.'.join(attrs)}"
+                owner = getattr(owner, part)
 
 
 @pytest.mark.parametrize("mode", ["classical", "measured"])

@@ -110,6 +110,7 @@ def test_config_validation(tmp_path):
             ("protocol", "protocol", "id", "toffoli"),
             ("spectrum", "lattice", "Jx", True),
             ("readout", "readout", "flux0", 10 ** 400),
+            ("spectrum", "lattice", "Jx", 10 ** 400),
             ("protocol", "protocol", "samples", True),
             ("readout", "readout", "direct", True)):
         cfg = dict(KITAEV, protocol={"id": "cnot", "mode": "sample",

@@ -8,7 +8,6 @@ from cornerlab import floquet, lattice
 from cornerlab.floquet import (
     assemble_sambe,
     circular_distance,
-    convergence_check,
     corner_basis_rotation,
     corner_localization,
     fourier_weight_profile,
@@ -338,7 +337,7 @@ def test_particle_hole_pairing_of_spectrum():
 
 def test_mode_normalization(bench_spectrum):
     for m in bench_spectrum.modes:
-        assert m.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert (np.abs(m.components) ** 2).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fold_and_distance():
@@ -352,20 +351,38 @@ def test_static_fourier_profile():
     prof = fourier_weight_profile(mode)
     assert prof[0] == pytest.approx(1.0, abs=1e-12)
     assert sum(prof.values()) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(mode.harmonic(-3), mode.components[0])
+    for n in (-4, 4):
+        with pytest.raises(IndexError, match=f"harmonic {n} outside .* M = 3"):
+            mode.harmonic(n)
 
 
-def test_convergence_check_static_and_drive_limit():
-    static = kitaev_chain_bdg(4, 1.0, 1.0, 0.4, 0.0)
-    assert convergence_check(static, 3) < 1e-12
-    weak = kitaev_chain_bdg(4, 1.0, 1.0, 0.4, 1e-4)
-    assert convergence_check(weak, 3) < 1e-9
+def _cutoff_shift(bdg, M):
+    """Max shift of the 16 folded quasienergies nearest 0 and nearest
+    omega/2 (all, if fewer) from cutoff M - 1 to M, matched in order of
+    circular distance within each window."""
+    windows = []
+    for cutoff in (M - 1, M):
+        eps = quasienergy_spectrum(assemble_sambe(bdg, cutoff)).quasienergies
+        n = min(16, eps.size)
+        windows.append(np.concatenate([
+            np.sort(np.abs(eps))[:n],
+            np.sort(circular_distance(eps, bdg.omega / 2, bdg.omega))[:n]]))
+    return float(np.abs(windows[1] - windows[0]).max())
 
 
 def test_convergence_decreases_with_cutoff():
-    p = fig_s1_params(Nx=2, Ny=2)
-    bdg = lattice.build_realspace_bdg(p)
-    vals = [convergence_check(bdg, M) for M in (3, 5, 7)]
-    assert vals[0] > vals[1] > vals[2]
+    # a static chain needs no replicas, and a weak drive barely moves it
+    static = kitaev_chain_bdg(4, 1.0, 1.0, 0.4, 0.0)
+    assert _cutoff_shift(static, 3) < 1e-12
+    weak = kitaev_chain_bdg(4, 1.0, 1.0, 0.4, 1e-4)
+    assert _cutoff_shift(weak, 3) < 1e-9
+    # at the benchmark point the shift falls with the cutoff, and the
+    # M = 6 default moves the windows by < 1e-6 from M = 5
+    bdg = lattice.build_realspace_bdg(fig_s1_params(Nx=2, Ny=2))
+    shifts = [_cutoff_shift(bdg, M) for M in (3, 5, 7)]
+    assert shifts[0] > shifts[1] > shifts[2]
+    assert _cutoff_shift(bdg, 6) < 1e-6
 
 
 def test_corner_localization_uniform():
@@ -492,11 +509,3 @@ def test_robustness_of_mode_counts_under_perturbation(bench_params):
                                     tol_zero=2e-2, tol_pi=2e-2)
         assert spec.counts() == {"zero": 4, "pi": 4}
         assert spec.gaps[0] > 10 * 2e-2 and spec.gaps[1] > 10 * 2e-2
-
-
-def test_default_cutoff_is_converged():
-    # the M = 6 default used for the benchmark capture: eigenvalues near 0
-    # and omega/2 move by < 1e-6 when the cutoff is raised from 5
-    p = fig_s1_params(Nx=2, Ny=2)
-    bdg = lattice.build_realspace_bdg(p)
-    assert convergence_check(bdg, 6) < 1e-6

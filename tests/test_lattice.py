@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornerlab import floquet, lattice
+from cornerlab import lattice
 from cornerlab.lattice import (
     LatticeParams,
     build_momentum_bdg,
@@ -13,7 +13,6 @@ from cornerlab.lattice import (
     kitaev_chain_bdg,
     momentum_grid,
     reduce_to_1d,
-    row_block,
     sigma_eta,
     symmetry_op,
 )
@@ -73,7 +72,8 @@ def test_instantaneous_hermiticity(seed):
     p = random_params(rng)
     bdg = build_realspace_bdg(p)
     for t in rng.uniform(0, 1, size=10):
-        h = bdg.at_time(t)
+        h = sum(hm * np.exp(1j * m * bdg.omega * t)
+                for m, hm in bdg.harmonics.items())
         assert np.abs(h - h.conj().T).max() < 1e-12
 
 
@@ -139,14 +139,14 @@ def test_reduce_to_1d_requires_decoupling():
         reduce_to_1d(small_params(Jy=0.2, dJ=0.1))
 
 
-def test_reduce_to_1d_matches_row_block():
+def test_reduce_to_1d_matches_first_row():
     p = small_params(Nx=3, Ny=2, Jy=0.1, dJ=0.1, Dy=0.5, dDy=0.5)
     chain = reduce_to_1d(p)
     full = build_realspace_bdg(p)
-    row = row_block(full, p, 1)
+    row = np.arange(2 * p.shape[0])    # row j = 1: the first Lx sites
     for m in (-1, 0, 1):
-        assert np.abs(np.asarray(chain.component(m))
-                      - np.asarray(row.component(m))).max() < 1e-14
+        assert np.abs(chain.component(m)
+                      - full.component(m)[np.ix_(row, row)]).max() < 1e-14
 
 
 def test_decoupled_rows_have_no_external_elements():
@@ -182,30 +182,6 @@ def test_boundary_flags():
     assert np.abs(blk).max() > 0
     blk_open = h_open[2 * a:2 * a + 2, 2 * b:2 * b + 2]
     assert np.abs(blk_open).max() == 0
-
-
-def test_harmonics_export_round_trip(tmp_path):
-    bdg = build_realspace_bdg(small_params())
-    path = tmp_path / "bdg.npz"
-    bdg.save_npz(path)
-    back = lattice.DrivenBdG.load_npz(path)
-    assert back.omega == bdg.omega
-    for m in (-1, 0, 1):
-        assert np.abs(np.asarray(back.component(m))
-                      - np.asarray(bdg.component(m))).max() == 0
-    # the mirror survives, so the reloaded operator still solves real
-    assert np.array_equal(back.mirror.perm, bdg.mirror.perm)
-    assert np.array_equal(back.mirror.sign, bdg.mirror.sign)
-    spectra = []
-    for op in (bdg, back):
-        sm = floquet.assemble_sambe(op, 3)
-        assert sm.matrix.dtype == np.float64
-        spectra.append(floquet.quasienergy_spectrum(sm).quasienergies)
-    assert np.array_equal(*spectra)
-    # an operator without a mirror reloads without one
-    plain = lattice.DrivenBdG(bdg.harmonics, bdg.omega)
-    plain.save_npz(path)
-    assert lattice.DrivenBdG.load_npz(path).mirror is None
 
 
 @pytest.mark.parametrize("boundary", lattice.BOUNDARIES)

@@ -169,8 +169,10 @@ def test_encode_basics():
     s = encode_logical([1, 0], [1, 0], [1, 0])
     for q in (1, 2, 3):
         assert expectation(s, pauli("z", q)) == pytest.approx(1.0, abs=1e-12)
-    assert s.sector == "even"
     assert expectation(s, TOTAL_PARITY) == pytest.approx(1.0, abs=1e-12)
+    # g01 g02 g03 g04 = -(i g01 g02)(i g03 g04), so i g03 g04 reads -1
+    assert expectation(s, string(1j, [g("0", 3), g("0", 4)])) \
+        == pytest.approx(-1.0, abs=1e-12)
 
     plus = np.array([1, 1]) / np.sqrt(2)
     s2 = encode_logical(plus, [1, 0], [1, 0])
@@ -190,7 +192,7 @@ def test_encode_round_trip(rng):
     for _ in range(20):
         qs = [rand_qubit(rng) for _ in range(3)]
         state = encode_logical(*qs)
-        assert state.sector == "even"
+        assert expectation(state, TOTAL_PARITY) == pytest.approx(1.0, abs=1e-10)
         for idx, q in enumerate(qs, start=1):
             bloch = {
                 "x": 2 * np.real(np.conj(q[0]) * q[1]),
@@ -202,11 +204,13 @@ def test_encode_round_trip(rng):
                 assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_measure_eigenstate():
+def test_measure_eigenstate(rng):
     s = encode_logical([1, 0], [1, 0], [1, 0])
-    res = measure(s, pauli("z", 1), force=+1)
-    assert res.outcome == 1 and res.probability == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(res.post_state.amplitudes - s.amplitudes).max() < 1e-12
+    for res in (measure(s, pauli("z", 1), force=+1),
+                measure(s, pauli("z", 1), rng=rng)):
+        assert res.outcome == 1
+        assert res.probability == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(res.post_state.amplitudes - s.amplitudes).max() < 1e-12
     with pytest.raises(mj.ImpossibleOutcome, match="incompatible"):
         measure(s, pauli("z", 1), force=-1)
     assert issubclass(mj.ImpossibleOutcome, ValueError)
@@ -218,6 +222,12 @@ def test_measure_superposition(rng):
     assert res.probability == pytest.approx(0.5, abs=1e-12)
     res2 = measure(s, pauli("x", 1), force=-1)
     assert res2.probability == pytest.approx(0.5, abs=1e-12)
+    # sample mode draws the Born statistics: +1 half the time on |+>
+    plus = encode_logical(np.array([1, 1]) / np.sqrt(2), [1, 0], [1, 0])
+    n = 10_000
+    count = sum((1 + measure(plus, pauli("z", 1), rng=rng).outcome) // 2
+                for _ in range(n))
+    assert abs(count - n / 2) < 3 * 0.5 * np.sqrt(n)
 
 
 def test_measure_validation(rng):
@@ -241,7 +251,8 @@ def test_measure_idempotence_and_sector(seed):
     again = measure(first.post_state, parity, rng=rng)
     assert again.outcome == first.outcome
     assert again.probability == pytest.approx(1.0, abs=1e-12)
-    assert first.post_state.sector == "even"
+    assert expectation(first.post_state, TOTAL_PARITY) \
+        == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(first.post_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
