@@ -31,13 +31,13 @@ def main():
         "sambe": {"cutoff": args.cutoff},
         "modes": {"corner_frac": 0.25},
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        cfg_path = fh.name
-    for command in ("spectrum", "modes"):
-        rc = cli.main([command, "--config", cfg_path, "--out", args.out])
-        if rc != 0:
-            raise SystemExit(rc)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        for command in ("spectrum", "modes"):
+            rc = cli.main([command, "--config", str(cfg_path), "--out", args.out])
+            if rc != 0:
+                raise SystemExit(rc)
     summary = json.loads((Path(args.out) / "summary.json").read_text())
     print("mode counts:", summary["counts"])
     print("outputs in", args.out)

@@ -5,15 +5,16 @@ fit of the parity contrast, and the tuned four-lead joint-parity table."""
 import argparse
 import json
 import tempfile
+from pathlib import Path
 
 from cornerlab import cli
 
 
 def run(cfg, out):
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        path = fh.name
-    rc = cli.main(["readout", "--config", path, "--out", out])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["readout", "--config", str(path), "--out", out])
     if rc != 0:
         raise SystemExit(rc)
 

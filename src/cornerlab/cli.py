@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from cornerlab import floquet, majorana, perturbation, protocols, readout
-from cornerlab.lattice import LatticeParams, build_realspace_bdg, kitaev_chain_bdg
+from cornerlab.lattice import (LatticeParams, build_momentum_bdg,
+                               build_realspace_bdg, kitaev_chain_bdg,
+                               momentum_grid)
 
 SCHEMA_VERSION = 1
 
@@ -183,25 +185,28 @@ def write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def _spectrum_of(cfg: dict):
+def _spectrum_of(cfg: dict, bloch: bool = False):
+    """The lattice's folded spectrum.  With `bloch`, a periodic-both lattice
+    is solved per Bloch block, for quasienergies only (no modes)."""
     if "lattice" not in cfg:
         raise ConfigError("config needs a 'lattice' section")
     params = LatticeParams(**cfg["lattice"])
     sambe = cfg["sambe"]
-    sm = floquet.assemble_sambe(build_realspace_bdg(params), sambe["cutoff"])
+    if bloch and params.boundary == "periodic-both":
+        kx, ky = np.array(momentum_grid(params)).T
+        bdg = build_momentum_bdg(params, kx, ky)
+    else:
+        bdg = build_realspace_bdg(params)
+    sm = floquet.assemble_sambe(bdg, sambe["cutoff"])
     spec = floquet.quasienergy_spectrum(sm, sambe["tol_zero"], sambe["tol_pi"])
     return params, spec
 
 
 def cmd_spectrum(cfg: dict, out: Path, fmt: str) -> int:
-    params, spec = _spectrum_of(cfg)
-    rows = []
-    mode_eps = {s: sorted(m.quasienergy for m in spec.modes_of(s))
-                for s in ("zero", "pi")}
-    for i, e in enumerate(spec.quasienergies):
-        species = floquet.species_of(float(e), spec.omega,
-                                     spec.tol_zero, spec.tol_pi)
-        rows.append([i, float(e), species])
+    params, spec = _spectrum_of(cfg, bloch=True)
+    rows = [[i, float(e), s] for i, (e, s) in
+            enumerate(zip(spec.quasienergies, spec.species()))]
+    mode_eps = {s: spec.window_quasienergies(s) for s in ("zero", "pi")}
     write_rows(out / "spectrum", ["index", "quasienergy", "species"], rows, fmt)
     write_json(out / "summary.json", {
         "counts": spec.counts(),

@@ -18,6 +18,12 @@ Only B is assembled and solved, and only the kept zero and pi vectors are
 rebuilt from its singular pairs and mapped back to sites; operators
 without a mirror stay complex.
 
+Bloch blocks: a periodic-both lattice is block-diagonal in crystal
+momentum.  A batched operator (one 4x4 block per k, from
+`build_momentum_bdg` on arrays of momenta) is assembled as the stack of
+its complex Sambe matrices and solved for eigenvalues only, in one batched
+call, with the zone count checked per block.
+
 Species windows: a mode is `zero` if its quasienergy lies within tol_zero
 of 0, and `pi` if it lies within tol_pi of +-omega/2 on the quasienergy
 circle.  Pi modes are re-represented at the +omega/2 boundary
@@ -79,7 +85,11 @@ class FloquetMode:
 
 @dataclass
 class SpectrumResult:
-    """Folded quasienergy spectrum plus the modes near 0 and +-omega/2."""
+    """Folded quasienergy spectrum plus the modes near 0 and +-omega/2.
+
+    Counts, gaps and the window quasienergies come from `quasienergies`
+    and the species windows alone, so a result without modes (a stack of
+    Bloch blocks, solved for eigenvalues only) is complete."""
 
     quasienergies: np.ndarray          # sorted, folded to (-omega/2, omega/2]
     modes: list[FloquetMode]
@@ -91,8 +101,26 @@ class SpectrumResult:
     def modes_of(self, species: str) -> list[FloquetMode]:
         return [m for m in self.modes if m.species == species]
 
+    def species(self) -> list[str]:
+        """Per entry of `quasienergies`: 'zero' within tol_zero of 0, else
+        'pi' within tol_pi of +-omega/2 on the quasienergy circle, else
+        'bulk'."""
+        e, w = self.quasienergies, self.omega
+        return np.where(np.abs(e) <= self.tol_zero, "zero", np.where(
+            circular_distance(e, w / 2, w) <= self.tol_pi, "pi",
+            "bulk")).tolist()
+
+    def window_quasienergies(self, species: str) -> list[float]:
+        """Sorted quasienergies of one species, pi entries at their +omega/2
+        representative: the quasienergies of the matching `modes`."""
+        w = self.omega
+        return sorted(float(e) + _pi_shift(e, s, w) * w
+                      for e, s in zip(self.quasienergies, self.species())
+                      if s == species)
+
     def counts(self) -> dict[str, int]:
-        return {s: len(self.modes_of(s)) for s in ("zero", "pi")}
+        labels = self.species()
+        return {s: labels.count(s) for s in ("zero", "pi")}
 
 
 def _check_particle_hole(real: dict[int, np.ndarray]) -> None:
@@ -108,7 +136,8 @@ def _check_particle_hole(real: dict[int, np.ndarray]) -> None:
 
 def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
     """Block-assemble the Sambe matrix for harmonic cutoff M >= 0 (M = 0
-    only for static operators).
+    only for static operators).  A batched operator (Bloch blocks) gives
+    the stack of their complex Sambe matrices, leading axes first.
 
     With a mirror, each harmonic is first taken to the real basis (raising
     ValueError if one breaks the mirror or particle-hole symmetry) and only
@@ -133,13 +162,15 @@ def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
         terms = [t for k, h in real.items()
                  for t in ((1, -k, h[0::2, 0::2]), (-1, k, -h[0::2, 1::2]))]
     D = (2 * M + 1) * e
-    H = np.zeros((D, D), dtype=dtype)
+    H = np.zeros(bdg.batch + (D, D), dtype=dtype)
     for s, c, block in terms:
         for n in range(-M, M + 1):
             m = s * n + c
             if abs(m) <= M:
-                H[(n + M) * e:(n + M + 1) * e, (m + M) * e:(m + M + 1) * e] += block
-    H[np.diag_indices(D)] += np.repeat(np.arange(-M, M + 1) * bdg.omega, e)
+                H[..., (n + M) * e:(n + M + 1) * e,
+                  (m + M) * e:(m + M + 1) * e] += block
+    diag = np.arange(D)
+    H[..., diag, diag] += np.repeat(np.arange(-M, M + 1) * bdg.omega, e)
     return SambeMatrix(m_cutoff=M, blockdim=bdg.dim, omega=bdg.omega,
                        matrix=H, mirror=bdg.mirror)
 
@@ -150,14 +181,10 @@ def circular_distance(eps, target, omega):
     return np.abs(d - omega * np.round(d / omega))
 
 
-def species_of(eps: float, omega: float, tol_zero: float, tol_pi: float) -> str:
-    """'zero' within tol_zero of 0, else 'pi' within tol_pi of +-omega/2 on
-    the quasienergy circle, else 'bulk'."""
-    if abs(eps) <= tol_zero:
-        return "zero"
-    if circular_distance(eps, omega / 2, omega) <= tol_pi:
-        return "pi"
-    return "bulk"
+def _pi_shift(eps: float, species: str, omega: float) -> int:
+    """Replica shift k taking a pi quasienergy to its +omega/2 representative
+    eps + k * omega; 0 for the other species."""
+    return int(round((omega / 2 - eps) / omega)) if species == "pi" else 0
 
 
 def _shift_components(comp: np.ndarray, k: int) -> np.ndarray:
@@ -194,10 +221,10 @@ def quasienergy_spectrum(
     are kept: +-sigma has (u +- v)/2 on the particles of harmonic n and
     (u -+ v)/2 on the holes of -n, mapped back to sites.  Pi modes near
     -omega/2 are shifted to the +omega/2 representative.
+    A stack of Bloch-block Sambe matrices is solved for eigenvalues only,
+    in one batched call; each block's zone must hold `blockdim` states, and
+    the result holds their union and no modes.
     """
-    # scipy.linalg costs ~0.1 s to import; only Sambe solves should pay it
-    import scipy.linalg
-
     w = sambe.omega
     if tol_zero is None:
         tol_zero = 1e-3 * w
@@ -205,8 +232,13 @@ def quasienergy_spectrum(
         tol_pi = 1e-3 * w
     M, d = sambe.m_cutoff, sambe.blockdim
     B = sambe.matrix
+    if B.ndim == 2:
+        # scipy.linalg costs ~0.1 s to import; only real-space solves pay it
+        import scipy.linalg
     try:
-        if sambe.mirror is None:
+        if B.ndim > 2:
+            evals = np.linalg.eigvalsh(B.reshape((-1,) + B.shape[-2:]))
+        elif sambe.mirror is None:
             evals, evecs = scipy.linalg.eigh(
                 B, subset_by_value=(-w / 2, w / 2), driver="evr")
         else:
@@ -225,17 +257,23 @@ def quasienergy_spectrum(
             evals = np.concatenate([-sigma, sigma[::-1]])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Sambe eigensolver failed: {exc}") from exc
-    if evals.size != d:
+    if B.ndim > 2:
+        zone = (evals > -w / 2) & (evals <= w / 2)
+        held, evals = zone.sum(axis=1), np.sort(evals[zone])
+    else:
+        held = np.array([evals.size])
+    bad = np.flatnonzero(held != d)
+    if bad.size:
+        where = f" of k-block {bad[0]}" if B.ndim > 2 else ""
         raise RuntimeError(
-            f"central Floquet zone holds {evals.size} states, not blockdim "
-            f"= {d}, at cutoff M = {M}: raise the cutoff")
+            f"central Floquet zone{where} holds {held[bad[0]]} states, not "
+            f"blockdim = {d}, at cutoff M = {M}: raise the cutoff")
 
-    modes = []
-    for i, eps in enumerate(evals):
-        species = species_of(eps, w, tol_zero, tol_pi)
-        if species == "bulk":
+    result = SpectrumResult(evals, [], (np.inf, np.inf), w, tol_zero, tol_pi)
+    labels = result.species()
+    for i, (eps, species) in enumerate(zip(evals, labels)):
+        if B.ndim > 2 or species == "bulk":
             continue
-        k = int(round((w / 2 - eps) / w)) if species == "pi" else 0
         if sambe.mirror is None:
             comp = evecs[:, i].reshape(2 * M + 1, d)
         else:
@@ -245,23 +283,16 @@ def quasienergy_spectrum(
             comp[:, 0::2] = ((u + v) / 2).reshape(2 * M + 1, d // 2)
             comp[::-1, 1::2] = ((u - v) / 2).reshape(2 * M + 1, d // 2)
             comp = sambe.mirror.to_site(comp)
-        comp = _shift_components(comp, k)
-        modes.append(FloquetMode(float(eps) + k * w, comp, species, w))
+        k = _pi_shift(eps, species, w)
+        result.modes.append(FloquetMode(float(eps) + k * w,
+                                        _shift_components(comp, k), species, w))
 
     zero_d = np.sort(np.abs(evals))
     pi_d = np.sort(circular_distance(evals, w / 2, w))
-    n0 = sum(1 for m in modes if m.species == "zero")
-    npi = len(modes) - n0
-    gap0 = float(zero_d[n0]) if n0 < d else np.inf
-    gappi = float(pi_d[npi]) if npi < d else np.inf
-    return SpectrumResult(
-        quasienergies=evals,
-        modes=modes,
-        gaps=(gap0, gappi),
-        omega=w,
-        tol_zero=tol_zero,
-        tol_pi=tol_pi,
-    )
+    result.gaps = tuple(float(dist[n]) if n < evals.size else np.inf
+                        for dist, n in ((zero_d, labels.count("zero")),
+                                        (pi_d, labels.count("pi"))))
+    return result
 
 
 def _site_probability(mode: FloquetMode) -> np.ndarray:

@@ -169,22 +169,27 @@ class DrivenBdG:
 
     H(t) = sum_m harmonics[m] * exp(i m omega t).  Hermiticity of H(t)
     requires harmonics[-m] == harmonics[m]^dag, which is validated at
-    construction.  Matrices are frozen (non-writeable views).  `mirror`,
-    if given, is an antiunitary symmetry of every harmonic (see `Mirror`);
-    the Sambe assembler then works in the basis where all are real.
+    construction.  Harmonics may carry leading axes, `batch` (a stack of
+    Bloch blocks, one per momentum); the relations hold per block.
+    Matrices are frozen (non-writeable views).  `mirror`, if given, is an
+    antiunitary symmetry of every harmonic of an unbatched operator (see
+    `Mirror`); the Sambe assembler then works in the basis where all are
+    real.
     """
 
     def __init__(self, harmonics: dict[int, np.ndarray], omega: float,
                  mirror: Mirror | None = None):
         if not harmonics:
             raise ValueError("need at least one harmonic")
-        dims = {h.shape for h in harmonics.values()}
-        if len(dims) != 1 or any(s[0] != s[1] for s in dims):
+        dims = {np.shape(h) for h in harmonics.values()}
+        if len(dims) != 1 or any(len(s) < 2 or s[-1] != s[-2] for s in dims):
             raise ValueError(f"inconsistent harmonic shapes: {dims}")
-        self.dim = next(iter(dims))[0]
+        shape = next(iter(dims))
+        self.dim, self.batch = shape[-1], shape[:-2]
         self.omega = float(omega)
-        if mirror is not None and mirror.perm.size != self.dim:
-            raise ValueError(f"mirror of size {mirror.perm.size} on dim {self.dim}")
+        if mirror is not None and (mirror.perm.size != self.dim or self.batch):
+            raise ValueError(f"mirror of size {mirror.perm.size} on dim "
+                             f"{self.dim} with batch {self.batch}")
         self.mirror = mirror
         self._h = {}
         for m, mat in harmonics.items():
@@ -195,7 +200,8 @@ class DrivenBdG:
             partner = self._h.get(-m)
             if partner is None:
                 raise ValueError(f"harmonic {-m} missing for harmonic {m}")
-            if not np.allclose(self._h[m].conj().T, partner, atol=1e-12):
+            if not np.allclose(np.swapaxes(self._h[m], -1, -2).conj(), partner,
+                               atol=1e-12):
                 raise ValueError(f"harmonics {m}/{-m} are not mutually adjoint")
 
     @property
@@ -206,7 +212,7 @@ class DrivenBdG:
         """Fourier component h^(m); zero matrix if absent."""
         h = self._h.get(m)
         if h is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
+            return np.zeros(self.batch + (self.dim, self.dim), dtype=complex)
         return h
 
     @property
@@ -316,7 +322,7 @@ def build_realspace_bdg(params: LatticeParams) -> DrivenBdG:
                      x_mirror(Lx, Ly))
 
 
-def build_momentum_bdg(params: LatticeParams, kx: float, ky: float) -> DrivenBdG:
+def build_momentum_bdg(params: LatticeParams, kx, ky) -> DrivenBdG:
     """4x4 Bloch BdG Fourier components at momentum (kx, ky).
 
     h(k, t) = [-(J_{y,-} + J_{y,+} cos ky) sx - J_{y,+} sin ky sy
@@ -324,12 +330,15 @@ def build_momentum_bdg(params: LatticeParams, kx: float, ky: float) -> DrivenBdG
                + (dmu0 + dmu1 cos wt) sz] ez
               + [(D_{y,-} - D_{y,+} cos ky) sy + D_{y,+} sin ky sx] ex
               + 2 Dx sin kx ey
-    with s (e) the sublattice (Nambu) Paulis.
+    with s (e) the sublattice (Nambu) Paulis.  Array momenta broadcast:
+    the harmonics then carry their shape as a leading batch, each block
+    equal to the scalar build at its momentum.
     """
     jyp = params.Jy + params.dJ
     jym = params.Jy - params.dJ
     dyp = params.Dy + params.dDy
     dym = params.Dy - params.dDy
+    kx, ky = (np.asarray(k, dtype=float)[..., None, None] for k in (kx, ky))
 
     h0 = (
         -(jym + jyp * np.cos(ky)) * sigma_eta("x", "z")
@@ -341,8 +350,10 @@ def build_momentum_bdg(params: LatticeParams, kx: float, ky: float) -> DrivenBdG
         + dyp * np.sin(ky) * sigma_eta("x", "x")
         + 2 * params.Dx * np.sin(kx) * sigma_eta("0", "y")
     )
-    h1 = (params.mu1 * sigma_eta("0", "z") + params.dmu1 * sigma_eta("z", "z")) / 2.0
-    return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, params.omega)
+    h1 = np.broadcast_to((params.mu1 * sigma_eta("0", "z")
+                          + params.dmu1 * sigma_eta("z", "z")) / 2.0, h0.shape)
+    return DrivenBdG({0: h0, 1: h1, -1: np.swapaxes(h1, -1, -2).conj()},
+                     params.omega)
 
 
 def momentum_grid(params: LatticeParams) -> list[tuple[float, float]]:
@@ -372,19 +383,16 @@ def check_symmetry(
     if kgrid is None:
         vals = np.linspace(-np.pi, np.pi, 7, endpoint=False) + 0.211
         kgrid = [(kx, ky) for kx in vals for ky in vals]
+    kx, ky = np.array(list(kgrid), dtype=float).reshape(-1, 2).T
     u = sym.matrix
+    bdg_k = build_momentum_bdg(params, kx, ky)
+    target = build_momentum_bdg(params, -kx, -ky) if sym.flips_k else bdg_k
     worst = 0.0
-    for kx, ky in kgrid:
-        bdg_k = build_momentum_bdg(params, kx, ky)
-        target = build_momentum_bdg(params, -kx, -ky) if sym.flips_k else bdg_k
-        ms = sorted(set(bdg_k.harmonics) | set(target.harmonics))
-        for m in ms:
-            if sym.antiunitary:
-                lhs = u @ bdg_k.component(-m).conj() @ u.conj().T
-            else:
-                lhs = u @ bdg_k.component(m) @ u.conj().T
-            resid = np.linalg.norm(lhs - sym.sign * target.component(m), ord=2)
-            worst = max(worst, float(resid))
+    for m in sorted(set(bdg_k.harmonics) | set(target.harmonics)):
+        h = bdg_k.component(-m).conj() if sym.antiunitary else bdg_k.component(m)
+        resid = np.linalg.norm(u @ h @ u.conj().T - sym.sign * target.component(m),
+                               ord=2, axis=(-2, -1))
+        worst = max(worst, float(resid.max(initial=0.0)))
     return worst
 
 

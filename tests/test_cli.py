@@ -1,14 +1,19 @@
 import dataclasses
+import importlib.util
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cornerlab import cli
-from cornerlab.lattice import LatticeParams
+from cornerlab import cli, floquet
+from cornerlab.lattice import LatticeParams, build_realspace_bdg, fig_s1_params
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -276,7 +281,7 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_readme_example_config_loads(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     cfg = cli.load_config(write(tmp_path, "readme.json", json.loads(example)))
     assert cfg["lattice"]["Nx"] == 6 and cfg["protocol"]["id"] == "cnot"
@@ -306,3 +311,96 @@ def test_ptcheck_outputs(tmp_path):
     lines = (out / "ptcheck_residuals.csv").read_text().splitlines()
     assert lines[0] == "order,residual"
     assert "slope" in res.stdout
+
+
+WINDOW = 0.8
+
+
+def _lattice_config(Nx, Ny, boundary, **over):
+    """fig_s1 couplings with wide species windows, so both hold states."""
+    lat = dataclasses.asdict(fig_s1_params(Nx, Ny, boundary))
+    lat.update(over)
+    return {"schema_version": 1, "lattice": lat,
+            "sambe": {"cutoff": 4, "tol_zero": WINDOW, "tol_pi": WINDOW}}
+
+
+def _realspace_spectrum(cfg):
+    sm = floquet.assemble_sambe(build_realspace_bdg(
+        LatticeParams(**cfg["lattice"])), cfg["sambe"]["cutoff"])
+    return floquet.quasienergy_spectrum(sm, WINDOW, WINDOW)
+
+
+def test_spectrum_periodic_both_matches_realspace(tmp_path):
+    # periodic-both is solved per Bloch block; the rows and the summary
+    # must be those of the real-space solve, and reproducible to the byte
+    cfg = _lattice_config(2, 2, "periodic-both", mu1=3.9, dmu1=0.1)
+    path = write(tmp_path, "cfg.json", cfg)
+    for name in ("a", "b"):
+        assert cli.main(["spectrum", "--config", path,
+                         "--out", str(tmp_path / name)]) == 0
+    for name in ("spectrum.csv", "summary.json"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    real = _realspace_spectrum(cfg)
+    rows = [line.split(",") for line in
+            (tmp_path / "a" / "spectrum.csv").read_text().splitlines()[1:]]
+    eps = np.array([float(r[1]) for r in rows])
+    assert np.abs(eps - real.quasienergies).max() < 1e-12
+    assert [r[2] for r in rows] == real.species()
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["counts"] == real.counts()
+    assert summary["counts"]["zero"] + summary["counts"]["pi"] > 0
+    assert np.allclose([summary["gaps"]["zero"], summary["gaps"]["pi"]],
+                       real.gaps, rtol=0, atol=1e-12)
+    for s in ("zero", "pi"):
+        want = sorted(m.quasienergy for m in real.modes_of(s))
+        assert np.allclose(summary["mode_quasienergies"][s], want,
+                           rtol=0, atol=1e-12)
+
+
+def test_spectrum_open_lattice_files_unchanged(tmp_path):
+    # an open lattice keeps the real-space path: its files must be what the
+    # command wrote when counts, gaps and the summary's mode quasienergies
+    # were read off the modes
+    cfg = _lattice_config(2, 2, "open")
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", write(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 0
+    spec = _realspace_spectrum(cfg)
+    w = spec.omega
+    species = ["zero" if abs(e) <= WINDOW else "pi"
+               if floquet.circular_distance(e, w / 2, w) <= WINDOW else "bulk"
+               for e in spec.quasienergies]
+    modes = {s: sorted(m.quasienergy for m in spec.modes_of(s))
+             for s in ("zero", "pi")}
+    assert modes["zero"] and modes["pi"]
+    dist = (np.sort(np.abs(spec.quasienergies)),
+            np.sort(floquet.circular_distance(spec.quasienergies, w / 2, w)))
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    cli.write_rows(ref / "spectrum", ["index", "quasienergy", "species"],
+                   [[i, float(e), s] for i, (e, s) in
+                    enumerate(zip(spec.quasienergies, species))], "csv")
+    cli.write_json(ref / "summary.json", {
+        "counts": {s: len(v) for s, v in modes.items()},
+        "gaps": {s: float(d[len(modes[s])]) for s, d in zip(modes, dist)},
+        "tolerances": {"zero": WINDOW, "pi": WINDOW},
+        "omega": w,
+        "mode_quasienergies": modes,
+        "lattice_shape": [4, 4],
+    })
+    for name in ("spectrum.csv", "summary.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_readout_script_leaves_no_temp_files(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "run_readout_sweeps", ROOT / "scripts" / "run_readout_sweeps.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    script.run({"readout": {"sweep_points": 3}}, str(tmp_path / "out"))
+    assert (tmp_path / "out" / "conductance_sweep.csv").exists()
+    assert list(scratch.iterdir()) == []

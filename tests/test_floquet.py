@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -303,11 +304,56 @@ def test_cutoff_3_counts_on_seeded_lattices():
         assert spec.quasienergies.size == 200
 
 
+def _bloch_sambe(p, M):
+    kx, ky = np.array(lattice.momentum_grid(p)).T
+    return assemble_sambe(lattice.build_momentum_bdg(p, kx, ky), M)
+
+
+@pytest.mark.parametrize("M", [3, 4])
+@pytest.mark.parametrize("size", [(1, 1), (2, 2), (3, 2)])
+def test_bloch_spectrum_matches_realspace(size, M):
+    # a torus is block-diagonal in momentum: the stacked k-block solve must
+    # reproduce the real-space solve, windows (wide, so they hold states)
+    # and gaps included
+    draw = np.random.default_rng([*size, M])
+    names = ("Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
+             "mu0", "dmu0", "mu1", "dmu1")
+    p = lattice.LatticeParams(*size, **{n: draw.uniform(-1.5, 1.5)
+                                        for n in names},
+                              boundary="periodic-both")
+    tols = {"tol_zero": 0.4, "tol_pi": 0.4}
+    bloch = quasienergy_spectrum(_bloch_sambe(p, M), **tols)
+    real = quasienergy_spectrum(
+        assemble_sambe(lattice.build_realspace_bdg(p), M), **tols)
+    assert bloch.quasienergies.size == real.quasienergies.size
+    assert np.abs(bloch.quasienergies - real.quasienergies).max() < 1e-12
+    assert bloch.species() == real.species()
+    assert bloch.counts() == real.counts()
+    assert np.allclose(bloch.gaps, real.gaps, rtol=0, atol=1e-12)
+    assert bloch.modes == []
+    for s in ("zero", "pi"):
+        # the real-space modes carry the window quasienergies
+        assert real.window_quasienergies(s) == sorted(
+            m.quasienergy for m in real.modes_of(s))
+        assert np.allclose(bloch.window_quasienergies(s),
+                           real.window_quasienergies(s), rtol=0, atol=1e-12)
+
+
+def test_bloch_cutoff_too_small_raises():
+    # a drive of 8 needs more than one harmonic: some k-block's zone is
+    # short of its 4 states, and so is the real-space zone
+    p = dataclasses.replace(fig_s1_params(1, 1, "periodic-both"), mu1=8.0)
+    with pytest.raises(RuntimeError, match="k-block .* raise the cutoff"):
+        quasienergy_spectrum(_bloch_sambe(p, 1))
+    with pytest.raises(RuntimeError, match="not blockdim = 8.*raise the cutoff"):
+        quasienergy_spectrum(assemble_sambe(lattice.build_realspace_bdg(p), 1))
+
+
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg, scipy.special and scipy.integrate each add ~0.1 s to an
     # import, and scipy.sparse ~0.3 s; only the calls that need them (a
     # Sambe solve, a conductance) load them, so commands and studies that
-    # never make one do not pay
+    # never make one do not pay; a Bloch-block solve needs only numpy
     code = (
         "import importlib, pkgutil, sys, cornerlab\n"
         "names = [m.name for m in pkgutil.iter_modules(cornerlab.__path__)]\n"
@@ -317,13 +363,19 @@ def test_import_leaves_scipy_linalg_unloaded():
         "         'scipy.sparse')\n"
         "print(' '.join(names))\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
+        "from cornerlab import floquet, lattice\n"
+        "p = lattice.fig_s1_params(1, 1, 'periodic-both')\n"
+        "kx, ky = zip(*lattice.momentum_grid(p))\n"
+        "floquet.quasienergy_spectrum(floquet.assemble_sambe(\n"
+        "    lattice.build_momentum_bdg(p, kx, ky), 4))\n"
+        "print(' '.join(m for m in heavy if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    names, loaded = out.stdout.split("\n")[:2]
+    names, loaded, loaded_bloch = out.stdout.split("\n")[:3]
     assert {"cli", "floquet", "fock", "lattice", "majorana", "perturbation",
             "protocols", "readout"} <= set(names.split())
-    assert loaded == ""
+    assert loaded == "" and loaded_bloch == ""
 
 
 def test_particle_hole_pairing_of_spectrum():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cornerlab import lattice
 from cornerlab.lattice import (
+    DrivenBdG,
     LatticeParams,
     build_momentum_bdg,
     build_realspace_bdg,
@@ -111,6 +112,20 @@ def test_realspace_momentum_consistency():
             km = build_momentum_bdg(p, kx, ky)
             kvals.extend(np.linalg.eigvalsh(np.asarray(km.component(m))))
         assert np.abs(real - np.sort(kvals)).max() < 1e-9
+    # one stacked build over the grid equals the per-k scalar builds bitwise
+    kx, ky = np.array(momentum_grid(p)).T
+    stack = build_momentum_bdg(p, kx, ky)
+    assert stack.dim == 4 and stack.batch == (len(kx),)
+    for m in (-1, 0, 1):
+        scalar = [build_momentum_bdg(p, *k).component(m) for k in zip(kx, ky)]
+        assert all(h.shape == (4, 4) for h in scalar)
+        assert np.array_equal(stack.component(m), np.stack(scalar))
+    # the adjoint relation is checked per block of a stack
+    h1 = np.array(stack.component(1))
+    h1[2] += 0.1 * sigma_eta("x", "0")
+    with pytest.raises(ValueError, match="not mutually adjoint"):
+        DrivenBdG({0: stack.component(0), 1: h1,
+                   -1: stack.component(-1)}, p.omega)
 
 
 def test_particle_hole_symmetry_random():
