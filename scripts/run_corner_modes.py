@@ -3,8 +3,8 @@
 quasienergy spectrum plus corner-localized mode profiles.
 
 The acceptance-scale run (16x16 sites, cutoff 6: --half-size 8 --cutoff 6)
-takes about 12 s and 0.37 GB on two cores, one Sambe solve for each of the
-two commands; the default here, a 12x12 lattice at cutoff 4, about 1.9 s.
+takes about 8.4 s and 0.30 GB on two cores, one Sambe solve for each of the
+two commands; the default here, a 12x12 lattice at cutoff 4, about 1.7 s.
 """
 
 import argparse

@@ -14,9 +14,11 @@ W = (1 + iR)/sqrt(2).  There particle-hole symmetry times R is the
 permutation J = tau_x (x) P_n (P_n sends harmonic n to -n), which
 anticommutes with the real Sambe matrix, so K' = [[0, B], [B^T, 0]] in J's
 eigenbasis and the spectrum is +-sigma over the singular values of B.
-Only B is assembled and solved, and only the kept zero and pi vectors are
-rebuilt from its singular pairs and mapped back to sites; operators
-without a mirror stay complex.
+Only B is assembled and solved, with one dense eigensolve (of B^T B, for
+its d/2 + 1 smallest eigenvalues) and, when the zero window is not empty,
+one LU of B; only the kept zero and pi vectors are rebuilt from its
+singular pairs and mapped back to sites.  Operators without a mirror stay
+complex.
 
 Bloch blocks: a periodic-both lattice is block-diagonal in crystal
 momentum.  A batched operator (one 4x4 block per k, from
@@ -200,6 +202,24 @@ def _shift_components(comp: np.ndarray, k: int) -> np.ndarray:
     return out / np.sqrt((np.abs(out) ** 2).sum())
 
 
+def _zero_window_left(B: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of B^-T V, from one LU of B^T: for right singular
+    vectors v_i it spans the left ones, since B^-T v_i = u_i / sigma_i, and
+    an error in v_i along v_j enters scaled by sigma_i / sigma_j.  Pivots
+    below eps * max|u_jj| are floored to that size (a backward perturbation
+    of eps * ||B||, as in LAPACK's inverse iteration), so an exactly
+    singular B is solved too."""
+    from scipy.linalg import lapack
+
+    lu, piv, _ = lapack.dgetrf(B.T)
+    pivots = np.abs(lu.diagonal())
+    floor = np.finfo(float).eps * pivots.max()
+    small = np.flatnonzero(pivots < floor)
+    lu[small, small] = np.copysign(floor, lu[small, small])
+    X, _ = lapack.dgetrs(lu, piv, V)
+    return np.linalg.qr(X)[0]
+
+
 def quasienergy_spectrum(
     sambe: SambeMatrix,
     tol_zero: float | None = None,
@@ -209,14 +229,17 @@ def quasienergy_spectrum(
 
     The folded quasienergies are the Sambe eigenvalues in (-omega/2,
     omega/2], one per state; RuntimeError unless there are `blockdim`.  For
-    B they are +-sigma for each singular value sigma < omega/2: a subset
-    eigensolve of B^T B gives the right vectors V, and a thin SVD of B V
-    (Rayleigh-Ritz) gives sigma to eps * ||B||, which the squared eigenvalues
-    lose near 0.  Its left vectors B v / sigma err by eps * ||B||^2 / sigma,
-    so in the zero window they come from a subset eigensolve of B B^T,
-    paired with V by an SVD of the small block L^T B V.  Elsewhere B v /
-    sigma stays: near omega/2 the two subset solves may split differently a
-    near-degenerate pair that straddles the cut.
+    B they are +-sigma for each singular value sigma < omega/2: an
+    eigensolve of B^T B for its d/2 + 1 smallest eigenvalues counts them
+    (exactly, if the last lies above (omega/2)^2; else a values-only count
+    of the zone precedes the error) and gives the right vectors V, and a
+    thin SVD of B V (Rayleigh-Ritz) gives sigma to eps * ||B||, which the
+    squared eigenvalues lose near 0.  Its left vectors B v / sigma err by
+    eps * ||B||^2 / sigma, so in the zero window they span B^-T V instead,
+    from one LU of B (`_zero_window_left`), and are paired with V by an
+    SVD of the small block L^T B V.  Elsewhere B v / sigma stays: it errs
+    little where sigma is not small, and B^-T would magnify errors along
+    the smaller sigma_j.
     Tolerances default to 1e-3 * omega.  Only vectors in the zero/pi windows
     are kept: +-sigma has (u +- v)/2 on the particles of harmonic n and
     (u -+ v)/2 on the holes of -n, mapped back to sites.  Pi modes near
@@ -238,30 +261,38 @@ def quasienergy_spectrum(
     try:
         if B.ndim > 2:
             evals = np.linalg.eigvalsh(B.reshape((-1,) + B.shape[-2:]))
+            zone = (evals > -w / 2) & (evals <= w / 2)
+            held, evals = zone.sum(axis=1), np.sort(evals[zone])
         elif sambe.mirror is None:
             evals, evecs = scipy.linalg.eigh(
                 B, subset_by_value=(-w / 2, w / 2), driver="evr")
+            held = evals.size
         else:
-            # B^T B is symmetric: its transpose is Fortran-ordered, no copy
-            _, V = scipy.linalg.eigh((B.T @ B).T, driver="evr", overwrite_a=True,
-                                     subset_by_value=(-1.0, (w / 2) ** 2))
-            U, sigma, Zt = scipy.linalg.svd(B @ V, full_matrices=False)
-            V = V @ Zt.T
-            n0 = int(np.count_nonzero(sigma <= tol_zero))
-            if n0:
-                # two-sided Rayleigh-Ritz on the zero window's subspaces
-                _, L = scipy.linalg.eigh((B @ B.T).T, overwrite_a=True,
-                                         subset_by_index=(0, n0 - 1))
-                Y, sigma[-n0:], Wt = scipy.linalg.svd(L.T @ B @ V[:, -n0:])
-                U[:, -n0:], V[:, -n0:] = L @ Y, V[:, -n0:] @ Wt.T
-            evals = np.concatenate([-sigma, sigma[::-1]])
+            # B^T B is symmetric: its transpose is Fortran-ordered, no copy.
+            # Asked for by index, the vectors take n x (d/2 + 1), not n x n.
+            last = min(d // 2, len(B) - 1)
+            lam, V = scipy.linalg.eigh((B.T @ B).T, driver="evr", overwrite_a=True,
+                                       subset_by_index=(0, last))
+            held = 2 * np.count_nonzero(lam <= (w / 2) ** 2)
+            if held > d:
+                # every state asked for is in the zone: count them all
+                held = 2 * scipy.linalg.eigh(
+                    B.T @ B, eigvals_only=True, driver="evr",
+                    subset_by_value=(-1.0, (w / 2) ** 2)).size
+            if held == d:
+                U, sigma, Zt = scipy.linalg.svd(B @ V[:, :d // 2],
+                                                full_matrices=False)
+                V = V[:, :d // 2] @ Zt.T
+                n0 = int(np.count_nonzero(sigma <= tol_zero))
+                if n0:
+                    # two-sided Rayleigh-Ritz on the zero window's subspaces
+                    L = _zero_window_left(B, V[:, -n0:])
+                    Y, sigma[-n0:], Wt = scipy.linalg.svd(L.T @ B @ V[:, -n0:])
+                    U[:, -n0:], V[:, -n0:] = L @ Y, V[:, -n0:] @ Wt.T
+                evals = np.concatenate([-sigma, sigma[::-1]])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Sambe eigensolver failed: {exc}") from exc
-    if B.ndim > 2:
-        zone = (evals > -w / 2) & (evals <= w / 2)
-        held, evals = zone.sum(axis=1), np.sort(evals[zone])
-    else:
-        held = np.array([evals.size])
+    held = np.atleast_1d(held)
     bad = np.flatnonzero(held != d)
     if bad.size:
         where = f" of k-block {bad[0]}" if B.ndim > 2 else ""

@@ -404,3 +404,38 @@ def test_readout_script_leaves_no_temp_files(tmp_path, monkeypatch):
     script.run({"readout": {"sweep_points": 3}}, str(tmp_path / "out"))
     assert (tmp_path / "out" / "conductance_sweep.csv").exists()
     assert list(scratch.iterdir()) == []
+
+
+def test_pool_bench_pairs_runs_of_both_sides(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "pool_bench", ROOT / "scripts" / "pool_bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    env = {"nproc": 2, "numpy": "x", "scipy": "y", "blas": {}, "machine": "m"}
+
+    def write(side, seed, trace, value):
+        d = tmp_path / side
+        d.mkdir(exist_ok=True)
+        rec = {"workload": "w", "seed": seed, "trace": trace, "correct": True,
+               "attempted": 10, "failed": 0, "environment": env,
+               "metrics": {"op_p50_s": {"value": value, "unit": "s"}}}
+        (d / f"w.seed{seed}.trace{trace}.json").write_text(json.dumps(rec))
+
+    for seed, (a, b) in enumerate([(1.0, 0.8), (1.2, 0.9), (0.9, 1.0)], 1):
+        write("parent", seed, 0, a)
+        write("change", seed, 0, b)
+    write("parent", 4, 0, 5.0)              # unpaired: left out
+    write("parent", 1, 1, 0.5)
+    write("change", 1, 1, 0.25)
+    out = tmp_path / "BENCH.json"
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    w = rec["workloads"]["w"]
+    assert w["pairs"] == 3 and w["change_wins"] == {"op_p50_s": 2}
+    assert w["parent"]["runs"] == {"op_p50_s": [1.0, 1.2, 0.9]}
+    assert w["parent"]["quartiles"]["op_p50_s"] == [0.95, 1.0, 1.1]
+    assert w["change_over_parent"] == {"op_p50_s": 0.9}
+    assert w["parent"]["attempted"] == 30 and w["change"]["correct"]
+    assert w["change"]["traced"] == {"op_p50_s": 0.25}
+    assert rec["machine"]["nproc"] == 2 and rec["units"] == {"op_p50_s": "s"}

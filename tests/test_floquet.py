@@ -207,6 +207,33 @@ def test_near_zero_sigma_match_gesdd():
     assert np.abs(sigma - ref).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name, tol", [("lattice", 5e-2), ("lattice", W / 4),
+                                       ("kitaev", 1e-3 * W)])
+def test_zero_window_left_vectors_match_bbt_oracle(name, tol):
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    if name == "kitaev":
+        bdg, M = kitaev_chain_bdg(8, J=1.0, Delta=1.0, mu0=0.0, mu1=0.0), 2
+    else:
+        bdg, M = lattice.build_realspace_bdg(fig_s1_params(Nx=4, Ny=4)), 4
+    B = assemble_sambe(bdg, M).matrix
+    n0 = int(np.count_nonzero(scipy.linalg.svdvals(B) <= tol))
+    if name == "kitaev":
+        # B is exactly singular: the LU meets a zero pivot, which is floored
+        assert lapack.dgetrf(B.T)[2] > 0
+    else:
+        # the four corner zero modes (two singular values), or a window
+        # that cuts the bulk
+        assert (n0 == 2) if tol < 0.1 else (n0 > 20)
+    _, V = scipy.linalg.eigh(B.T @ B, subset_by_index=(0, n0 - 1))
+    L = floquet._zero_window_left(B, V)
+    assert np.abs(L.T @ L - np.eye(n0)).max() <= 1e-12
+    # the oracle: the same window's left vectors from a solve of B B^T
+    _, oracle = scipy.linalg.eigh(B @ B.T, subset_by_index=(0, n0 - 1))
+    assert np.abs(L @ L.T - oracle @ oracle.T).max() <= 1e-10
+
+
 def _cluster_projectors(spec):
     return {s: sum(np.outer(c, c.conj()) for c in
                    (m.components.ravel() for m in spec.modes_of(s)))
@@ -223,7 +250,7 @@ def _rotated_weights(spec, shape):
     return out
 
 
-def test_half_size_vectors_match_complex_solve():
+def test_half_size_vectors_match_complex_solve(raw_vectors):
     p = fig_s1_params(Nx=4, Ny=4)
     bdg = lattice.build_realspace_bdg(p)
     specs = [quasienergy_spectrum(assemble_sambe(op, 4), tol_zero=5e-2,
@@ -237,6 +264,13 @@ def test_half_size_vectors_match_complex_solve():
     half, cplx = (_rotated_weights(s, p.shape) for s in specs)
     for s in ("zero", "pi"):
         assert np.abs(half[s] - cplx[s]).max() <= 1e-10
+    # every half-size zero and pi vector solves the site-basis Sambe matrix
+    site = _site_sambe(bdg, 4)
+    for mode in specs[0].modes:
+        comp, k = raw_vectors[id(mode.components)]
+        v = comp.ravel()
+        lam = mode.quasienergy - k * W
+        assert np.linalg.norm(site @ v - lam * v) <= 1e-12
 
 
 def test_driven_toy_stays_complex(rng):
@@ -281,6 +315,20 @@ def test_zone_count_mismatch_raises():
                              matrix=np.diag([0.1, 0.2, 4.0]),
                              mirror=lattice.x_mirror(1, 1))
     with pytest.raises(RuntimeError, match="holds 4 states.*raise the cutoff"):
+        quasienergy_spectrum(sm)
+
+
+@pytest.mark.parametrize("sigma, blockdim, held", [
+    # three singular values below W/2, more than the d/2 + 1 = 2 asked for
+    ([0.1, 0.2, 0.3], 2, 6),
+    # one singular value below W/2, one short of d/2 = 2
+    ([0.1, 4.0, 5.0, 6.0, 7.0, 8.0], 4, 2),
+])
+def test_half_size_zone_count_is_exact(sigma, blockdim, held):
+    sm = floquet.SambeMatrix(m_cutoff=1, blockdim=blockdim, omega=W,
+                             matrix=np.diag(sigma),
+                             mirror=lattice.x_mirror(blockdim // 2, 1))
+    with pytest.raises(RuntimeError, match=f"holds {held} states.*raise the cutoff"):
         quasienergy_spectrum(sm)
 
 
