@@ -10,8 +10,10 @@ workload and seed on both sides form a pair.  For each end-to-end metric
 the record lists every run per seed, the quartiles [q1, median, q3]
 (linear interpolation), the ratio of the medians (change over parent) and
 the number of pairs in which the change reads lower; every perfbench
-metric is better lower.  The traced run of the lowest seed on each side
-gives the per-layer values, and the runs' environment the machine record.
+metric is better lower.  Every traced run of a side is pooled: each
+per-layer value is recorded as the median and [min, max] over those runs,
+with the ratio of the medians (change over parent).  The runs'
+environment gives the machine record.
 
 With --criterion-1, acceptance criterion 1 (16x16 sites at cutoff M = 6:
 build, assemble, solve and the 4 + 4 mode count) runs three times per side
@@ -57,14 +59,13 @@ def quartiles(values):
 
 
 def load(results):
-    """{workload: {"runs": {seed: record}, "traced": record | None}}."""
+    """{workload: {"runs": {seed: record}, "traced": [record, ...]}}."""
     out = {}
     for f in sorted(Path(results).glob("*.json")):
         rec = json.loads(f.read_text())
-        w = out.setdefault(rec["workload"], {"runs": {}, "traced": None})
+        w = out.setdefault(rec["workload"], {"runs": {}, "traced": []})
         if rec["trace"]:
-            if w["traced"] is None or rec["seed"] < w["traced"]["seed"]:
-                w["traced"] = rec
+            w["traced"].append(rec)
         else:
             w["runs"][rec["seed"]] = rec
     if not out:
@@ -95,15 +96,21 @@ def pool(parent, change):
                     values.setdefault(metric, []).append(round(m["value"], 4))
                 if machine(rec) not in machines:
                     machines.append(machine(rec))
-            traced = data["traced"]["metrics"] if data["traced"] else {}
-            units.update({k: m["unit"] for k, m in traced.items()})
+            layers = {}
+            for rec in data["traced"]:
+                for metric, m in rec["metrics"].items():
+                    units[metric] = m["unit"]
+                    layers.setdefault(metric, []).append(m["value"])
             entry[side] = {
                 "correct": all(r["correct"] for r in runs),
                 "attempted": sum(r["attempted"] for r in runs),
                 "failed": sum(r["failed"] for r in runs),
                 "runs": values,
                 "quartiles": {k: quartiles(v) for k, v in values.items()},
-                "traced": {k: m["value"] for k, m in traced.items()},
+                "traced_runs": len(data["traced"]),
+                "traced": {k: {"median": statistics.median(v),
+                               "range": [min(v), max(v)]}
+                           for k, v in layers.items()},
             }
         p, c = entry["parent"]["runs"], entry["change"]["runs"]
         entry["change_over_parent"] = {
@@ -111,6 +118,10 @@ def pool(parent, change):
             for k in p if statistics.median(p[k])}
         entry["change_wins"] = {k: sum(b < a for a, b in zip(p[k], c[k]))
                                 for k in p}
+        tp, tc = entry["parent"]["traced"], entry["change"]["traced"]
+        entry["traced_change_over_parent"] = {
+            k: round(tc[k]["median"] / tp[k]["median"], 4)
+            for k in tp if k in tc and tp[k]["median"]}
         workloads[name] = entry
     return workloads, units, machines
 

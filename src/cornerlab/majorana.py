@@ -30,6 +30,7 @@ i^p X^x Z^z with (S psi)[i] = i^p (-1)^{|(i^x) & z|} psi[i^x]
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,8 +219,8 @@ class FockState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (DIM,):
             raise ValueError(f"need {DIM} amplitudes, got shape {amp.shape}")
-        n = np.linalg.norm(amp)
-        if abs(n - 1.0) > 1e-12:
+        n = math.sqrt(np.vdot(amp, amp).real)
+        if not abs(n - 1.0) <= 1e-12:          # also rejects nan and inf
             raise ValueError(f"state not normalized: |psi| = {n}")
         self.amplitudes = amp
 
@@ -264,13 +265,14 @@ def encode_logical(q1, q2, q3) -> FockState:
     return FockState(out)
 
 
+# row b1 b2 b3 (read in binary) is the conjugated basis vector <b1 b2 b3|
+_DECODE_ROWS = np.array([v.conj() for v in _logical_basis().values()])
+
+
 def decode_logical(state: FockState) -> np.ndarray:
-    """Overlaps <b1 b2 b3|psi> as an array indexed [b1, b2, b3]."""
-    basis = _logical_basis()
-    out = np.zeros((2, 2, 2), dtype=complex)
-    for bits, bvec in basis.items():
-        out[bits] = np.vdot(bvec, state.amplitudes)
-    return out
+    """Overlaps <b1 b2 b3|psi> as an array indexed [b1, b2, b3], from one
+    product of the 8x16 conjugated basis rows with the amplitudes."""
+    return (_DECODE_ROWS @ state.amplitudes).reshape(2, 2, 2)
 
 
 def expectation(state: FockState, s: MajoranaString) -> complex:
@@ -302,7 +304,10 @@ def measure(
 
     Exactly one of `rng` (sample mode) and `force` (condition on an outcome)
     must be given.  Forcing an outcome with probability < 1e-14 raises
-    `ImpossibleOutcome`.
+    `ImpossibleOutcome`.  P(+1) = (1 + Re<psi|S psi>)/2 from one overlap
+    (a FockState has unit norm); the post-state psi +- S psi is divided by
+    its exact norm sqrt(<post|post>), not by 2 sqrt(p), whose relative
+    error eps/p would break the unit norm of a branch with p ~ 1e-10.
     """
     if not parity.is_hermitian():
         raise ValueError(f"{parity!r} is not a Hermitian parity string")
@@ -310,23 +315,21 @@ def measure(
         raise ValueError("pass exactly one of rng= or force=")
     psi = state.amplitudes
     p_psi = apply(parity, psi)
-    p_plus = float(np.vdot(psi, (psi + p_psi)).real) / 2
-    p_plus = min(max(p_plus, 0.0), 1.0)
+    p_plus = min(max((1 + float(np.vdot(psi, p_psi).real)) / 2, 0.0), 1.0)
     if force is not None:
         if force not in (+1, -1):
             raise ValueError(f"forced outcome must be +-1, got {force}")
         outcome = force
-        prob = p_plus if outcome == 1 else 1 - p_plus
-        if prob < 1e-14:
-            raise ImpossibleOutcome(
-                f"incompatible forced outcome {force:+d} for {parity!r} "
-                f"(probability {prob:.3e})"
-            )
     else:
         outcome = 1 if rng.random() < p_plus else -1
-        prob = p_plus if outcome == 1 else 1 - p_plus
-    post = (psi + outcome * p_psi) / 2
-    post = post / np.linalg.norm(post)
+    prob = p_plus if outcome == 1 else 1 - p_plus
+    if force is not None and prob < 1e-14:
+        raise ImpossibleOutcome(
+            f"incompatible forced outcome {force:+d} for {parity!r} "
+            f"(probability {prob:.3e})"
+        )
+    post = psi + p_psi if outcome == 1 else psi - p_psi
+    post /= math.sqrt(np.vdot(post, post).real)
     return MeasureResult(outcome, FockState(post), prob)
 
 

@@ -65,6 +65,10 @@ ZZ_PAPER = {  # the sign convention the Hadamard table is stated in
     1: string(1j, [g("0", 3), g("0", 4)]),
     2: string(1j, [g("pi", 3), g("pi", 4)]),
 }
+PHASE_PAIR = {  # the classical p_j correction is (1 + g_{s,1} g_{s,2})/sqrt(2)
+    1: string(1, [g("0", 1), g("0", 2)]),
+    2: string(1, [g("pi", 1), g("pi", 2)]),
+}
 ZY = {  # the phase-gate middle measurement
     1: string(-1j, [g("0", 3), g("pi", 4)]),
     2: string(1j, [g("pi", 3), g("0", 4)]),
@@ -255,9 +259,7 @@ class _Executor:
         if self.mode == "classical":
             psi = run.state.amplitudes
             if kind == "p":
-                species = "0" if qubit == 1 else "pi"
-                pair = string(1, [g(species, 1), g(species, 2)])
-                psi = (psi + apply(pair, psi)) / np.sqrt(2)
+                psi = (psi + apply(PHASE_PAIR[qubit], psi)) / np.sqrt(2)
             else:
                 psi = apply(pauli(kind, qubit), psi)
             run.state = FockState(psi)
@@ -362,11 +364,11 @@ def logical_fidelity(
     # target acts on the logical pair for any ancilla branch;
     # overlap maximized over the ancilla branch phases is the sum in quadrature
     tgt = target @ psi_in
-    num = np.linalg.norm(phi.conj() @ tgt)
-    den = np.linalg.norm(phi) * np.linalg.norm(tgt)
-    if den < 1e-14:
+    overlaps = phi.conj() @ tgt
+    den = np.vdot(phi, phi).real * np.vdot(tgt, tgt).real
+    if den < 1e-28:                        # |phi| |tgt| < 1e-14
         return 0.0
-    return float(num / den)
+    return math.sqrt(np.vdot(overlaps, overlaps).real / den)
 
 
 @dataclass

@@ -425,8 +425,9 @@ def test_pool_bench_pairs_runs_of_both_sides(tmp_path):
         write("parent", seed, 0, a)
         write("change", seed, 0, b)
     write("parent", 4, 0, 5.0)              # unpaired: left out
-    write("parent", 1, 1, 0.5)
-    write("change", 1, 1, 0.25)
+    for seed, (a, b) in enumerate([(0.5, 0.25), (0.7, 0.2), (0.4, 0.3)], 1):
+        write("parent", seed, 1, a)         # every traced run is pooled
+        write("change", seed, 1, b)
     out = tmp_path / "BENCH.json"
     assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                         "--out", str(out)]) == 0
@@ -437,5 +438,9 @@ def test_pool_bench_pairs_runs_of_both_sides(tmp_path):
     assert w["parent"]["quartiles"]["op_p50_s"] == [0.95, 1.0, 1.1]
     assert w["change_over_parent"] == {"op_p50_s": 0.9}
     assert w["parent"]["attempted"] == 30 and w["change"]["correct"]
-    assert w["change"]["traced"] == {"op_p50_s": 0.25}
+    assert w["change"]["traced_runs"] == 3
+    assert w["change"]["traced"] == {"op_p50_s": {"median": 0.25,
+                                                  "range": [0.2, 0.3]}}
+    assert w["parent"]["traced"]["op_p50_s"]["range"] == [0.4, 0.7]
+    assert w["traced_change_over_parent"] == {"op_p50_s": 0.5}
     assert rec["machine"]["nproc"] == 2 and rec["units"] == {"op_p50_s": "s"}

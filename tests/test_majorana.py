@@ -25,6 +25,7 @@ from cornerlab.majorana import (
     string,
     to_matrix,
 )
+from cornerlab.protocols import GATES
 
 strings_st = st.builds(
     string,
@@ -254,6 +255,61 @@ def test_measure_idempotence_and_sector(seed):
     assert expectation(first.post_state, TOTAL_PARITY) \
         == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(first.post_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def _even_state(rng):
+    """Seeded random state of the even total-parity sector."""
+    v = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
+    v = v + to_matrix(TOTAL_PARITY) @ v
+    return mj.FockState(v / np.linalg.norm(v))
+
+
+def test_measure_matches_projector_reference():
+    # reference: the projector (1 +- S)/2 as a matrix, normalised by
+    # np.linalg.norm; every parity string a gate measures, both outcomes
+    parities = {s for gate in GATES.values() for s in gate.steps}
+    assert len(parities) == 11
+    rng = np.random.default_rng(16)
+    for parity in sorted(parities, key=lambda s: (s.mask, s.phase_power)):
+        mat = to_matrix(parity)
+        for _ in range(4):
+            state = _even_state(rng)
+            for sign in (+1, -1):
+                proj = (state.amplitudes + sign * mat @ state.amplitudes) / 2
+                want_p = np.linalg.norm(proj) ** 2
+                res = measure(state, parity, force=sign)
+                assert res.outcome == sign
+                assert abs(res.probability - want_p) < 1e-14
+                assert np.abs(res.post_state.amplitudes
+                              - proj / np.linalg.norm(proj)).max() < 1e-14
+
+
+def test_measure_rare_outcome_keeps_unit_norm():
+    # an outcome of probability 1e-10: the post-state is normalised by its
+    # exact norm, so it stays unit to 1e-12 (2 sqrt(p) would miss by ~eps/p)
+    rng = np.random.default_rng(7)
+    parity = pauli("x", 2)
+    mat = to_matrix(parity)
+    psi = _even_state(rng).amplitudes
+    plus, minus = (psi + mat @ psi) / 2, (psi - mat @ psi) / 2
+    plus, minus = plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
+    state = mj.FockState(np.sqrt(1 - 1e-10) * plus + np.sqrt(1e-10) * minus)
+    res = measure(state, parity, force=-1)
+    assert res.probability == pytest.approx(1e-10, rel=1e-5)
+    post = res.post_state.amplitudes
+    assert abs(np.linalg.norm(post) - 1) < 1e-12
+    assert abs(np.vdot(minus, post)) == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(mat @ post + post).max() < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fock_state_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        mj.FockState(np.full(DIM, bad, dtype=complex))
+    amp = np.zeros(DIM, dtype=complex)
+    amp[0], amp[3] = 1, bad
+    with pytest.raises(ValueError, match="not normalized"):
+        mj.FockState(amp)
 
 
 def test_probabilities_sum_to_one(rng):

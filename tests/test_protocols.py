@@ -300,3 +300,48 @@ def test_cnot_squares_to_identity(rng):
     state = random_logical_inputs("cnot", 1, rng)[0]
     out = _compose(["cnot", "cnot"], state, rng)
     assert 1 - _logical_overlap(out, state) < 1e-11
+
+
+def _decode_by_vdot(state):
+    """Overlaps with each logical basis vector, one np.vdot apiece."""
+    out = np.zeros((2, 2, 2), dtype=complex)
+    for bits, bvec in mj._logical_basis().items():
+        out[bits] = np.vdot(bvec, state.amplitudes)
+    return out
+
+
+def _fidelity_by_norms(state_in, run, target):
+    """logical_fidelity written with np.linalg.norm and per-basis overlaps."""
+    psi_in = _decode_by_vdot(state_in).reshape(4, 2)
+    b3 = 0 if expectation(run.state, pauli("z", 3)) > 0 else 1
+    phi = _decode_by_vdot(run.state).reshape(4, 2)[:, b3]
+    tgt = target @ psi_in
+    den = np.linalg.norm(phi) * np.linalg.norm(tgt)
+    return 0.0 if den < 1e-14 else float(np.linalg.norm(phi.conj() @ tgt) / den)
+
+
+def test_decode_and_fidelity_match_per_basis_reference():
+    rng = np.random.default_rng(16)
+    wrong = np.linalg.qr(rng.normal(size=(4, 4))
+                         + 1j * rng.normal(size=(4, 4)))[0]
+    n_runs = 0
+    for pid in PROTOCOL_IDS:
+        for state in random_logical_inputs(pid, 2, rng):
+            assert np.abs(mj.decode_logical(state)
+                          - _decode_by_vdot(state)).max() < 1e-14
+            runs = [run_protocol(pid, state, rng=rng, correction_mode=mode)
+                    for mode in ("measured", "classical")]
+            for signs in itertools.product((1, -1), repeat=len(GATES[pid].steps)):
+                try:
+                    runs.append(run_protocol(pid, state, forced=list(signs),
+                                             correction_mode="classical"))
+                except mj.ImpossibleOutcome:
+                    pass
+            for run in runs:
+                n_runs += 1
+                assert np.abs(mj.decode_logical(run.state)
+                              - _decode_by_vdot(run.state)).max() < 1e-14
+                for target in (GATES[pid].target, wrong, np.zeros((4, 4))):
+                    assert abs(logical_fidelity(state, run, target)
+                               - _fidelity_by_norms(state, run, target)) < 1e-14
+    assert n_runs > 200
