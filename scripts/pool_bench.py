@@ -2,7 +2,7 @@
 """Pool two sets of perfbench results into one committed bench record.
 
     python3 scripts/pool_bench.py PARENT_RESULTS CHANGE_RESULTS --out BENCH_N.json \\
-        [--what TEXT] [--criterion-1 PARENT_SRC CHANGE_SRC]
+        [--what TEXT] [--a-a COPY_RESULTS] [--criterion-1 PARENT_SRC CHANGE_SRC]
 
 PARENT_RESULTS and CHANGE_RESULTS are `.perfbench/results/` directories
 written by `perfbench/run.py` in two checkouts.  Untraced runs of one
@@ -14,6 +14,11 @@ metric is better lower.  Every traced run of a side is pooled: each
 per-layer value is recorded as the median and [min, max] over those runs,
 with the ratio of the medians (change over parent).  The runs'
 environment gives the machine record.
+
+With --a-a, COPY_RESULTS are the runs of a second clean copy of the
+parent; they are pooled against the parent's in the same way (the copy in
+the place of the change) and recorded under "a_a", so a pair count or a
+ratio can be read against what two copies of one commit show.
 
 With --criterion-1, acceptance criterion 1 (16x16 sites at cutoff M = 6:
 build, assemble, solve and the 4 + 4 mode count) runs three times per side
@@ -153,20 +158,31 @@ def main(argv=None):
     ap.add_argument("change", help="the change's .perfbench/results directory")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     ap.add_argument("--what", default="", help="what the two sides are")
+    ap.add_argument("--a-a", metavar="COPY_RESULTS",
+                    help="results of a second clean copy of the parent")
     ap.add_argument("--criterion-1", nargs=2, metavar=("PARENT_SRC", "CHANGE_SRC"),
                     help="src/ directories of the two checkouts")
     args = ap.parse_args(argv)
 
-    workloads, units, machines = pool(load(args.parent), load(args.change))
+    parent = load(args.parent)
+    workloads, units, machines = pool(parent, load(args.change))
     record = {"what": args.what, "units": units, "workloads": workloads}
+    tables = [("", workloads)]
+    if args.a_a:
+        a_a, _, more = pool(parent, load(args.a_a))
+        record["a_a"] = {"what": "the parent against a second clean copy of it "
+                                 "(\"change\" is the copy)", "workloads": a_a}
+        machines += [m for m in more if m not in machines]
+        tables.append(("A/A ", a_a))
     if args.criterion_1:
         record["criterion_1"] = criterion_1(args.criterion_1)
     record["machine"] = machines[0] if len(machines) == 1 else machines
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    for name, entry in workloads.items():
-        print(f"{name:14s} pairs {entry['pairs']:2d}  " + "  ".join(
-            f"{k} {r:.3f} ({entry['change_wins'][k]})"
-            for k, r in entry["change_over_parent"].items()))
+    for label, table in tables:
+        for name, entry in table.items():
+            print(f"{label + name:18s} pairs {entry['pairs']:2d}  " + "  ".join(
+                f"{k} {r:.3f} ({entry['change_wins'][k]})"
+                for k, r in entry["change_over_parent"].items()))
     return 0
 
 

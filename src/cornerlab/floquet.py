@@ -20,6 +20,10 @@ one LU of B; only the kept zero and pi vectors are rebuilt from its
 singular pairs and mapped back to sites.  Operators without a mirror stay
 complex.
 
+One BLAS: a real-space solve runs every dense product and decomposition on
+scipy's BLAS/LAPACK.  numpy's and scipy's wheels each vendor an OpenBLAS whose
+worker spins ~0.1 s after a BLAS-3 call, taking one of two cores from the other.
+
 Bloch blocks: a periodic-both lattice is block-diagonal in crystal
 momentum.  A batched operator (one 4x4 block per k, from
 `build_momentum_bdg` on arrays of momenta) is assembled as the stack of
@@ -209,7 +213,7 @@ def _zero_window_left(B: np.ndarray, V: np.ndarray) -> np.ndarray:
     below eps * max|u_jj| are floored to that size (a backward perturbation
     of eps * ||B||, as in LAPACK's inverse iteration), so an exactly
     singular B is solved too."""
-    from scipy.linalg import lapack
+    from scipy.linalg import lapack, qr
 
     lu, piv, _ = lapack.dgetrf(B.T)
     pivots = np.abs(lu.diagonal())
@@ -217,7 +221,7 @@ def _zero_window_left(B: np.ndarray, V: np.ndarray) -> np.ndarray:
     small = np.flatnonzero(pivots < floor)
     lu[small, small] = np.copysign(floor, lu[small, small])
     X, _ = lapack.dgetrs(lu, piv, V)
-    return np.linalg.qr(X)[0]
+    return qr(X, mode="economic", overwrite_a=True)[0]
 
 
 def quasienergy_spectrum(
@@ -257,38 +261,39 @@ def quasienergy_spectrum(
     B = sambe.matrix
     if B.ndim == 2:
         # scipy.linalg costs ~0.1 s to import; only real-space solves pay it
-        import scipy.linalg
+        from scipy.linalg import eigh, svd
+        from scipy.linalg.blas import dgemm, dsyrk
     try:
         if B.ndim > 2:
             evals = np.linalg.eigvalsh(B.reshape((-1,) + B.shape[-2:]))
             zone = (evals > -w / 2) & (evals <= w / 2)
             held, evals = zone.sum(axis=1), np.sort(evals[zone])
         elif sambe.mirror is None:
-            evals, evecs = scipy.linalg.eigh(
-                B, subset_by_value=(-w / 2, w / 2), driver="evr")
+            evals, evecs = eigh(B, subset_by_value=(-w / 2, w / 2))    # dsyevr
             held = evals.size
         else:
-            # B^T B is symmetric: its transpose is Fortran-ordered, no copy.
-            # Asked for by index, the vectors take n x (d/2 + 1), not n x n.
+            # scipy's BLAS only (module docstring).  B.T is Fortran-ordered,
+            # no copy; dsyrk fills the lower triangle of B^T B that eigh reads
             last = min(d // 2, len(B) - 1)
-            lam, V = scipy.linalg.eigh((B.T @ B).T, driver="evr", overwrite_a=True,
-                                       subset_by_index=(0, last))
+            lam, V = eigh(dsyrk(1.0, B.T, lower=1), overwrite_a=True,
+                          subset_by_index=(0, last))
             held = 2 * np.count_nonzero(lam <= (w / 2) ** 2)
             if held > d:
                 # every state asked for is in the zone: count them all
-                held = 2 * scipy.linalg.eigh(
-                    B.T @ B, eigvals_only=True, driver="evr",
-                    subset_by_value=(-1.0, (w / 2) ** 2)).size
+                held = 2 * eigh(dsyrk(1.0, B.T, lower=1), eigvals_only=True,
+                                subset_by_value=(-1.0, (w / 2) ** 2)).size
             if held == d:
-                U, sigma, Zt = scipy.linalg.svd(B @ V[:, :d // 2],
-                                                full_matrices=False)
-                V = V[:, :d // 2] @ Zt.T
+                U, sigma, Zt = svd(dgemm(1.0, B.T, V[:, :d // 2], trans_a=1),
+                                   full_matrices=False, overwrite_a=True)
+                V = dgemm(1.0, V[:, :d // 2], Zt, trans_b=1)
                 n0 = int(np.count_nonzero(sigma <= tol_zero))
                 if n0:
                     # two-sided Rayleigh-Ritz on the zero window's subspaces
                     L = _zero_window_left(B, V[:, -n0:])
-                    Y, sigma[-n0:], Wt = scipy.linalg.svd(L.T @ B @ V[:, -n0:])
-                    U[:, -n0:], V[:, -n0:] = L @ Y, V[:, -n0:] @ Wt.T
+                    Y, sigma[-n0:], Wt = svd(dgemm(1.0, dgemm(1.0, B.T, L),
+                                                   V[:, -n0:], trans_a=1))
+                    U[:, -n0:] = dgemm(1.0, L, Y)
+                    V[:, -n0:] = dgemm(1.0, V[:, -n0:], Wt, trans_b=1)
                 evals = np.concatenate([-sigma, sigma[::-1]])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Sambe eigensolver failed: {exc}") from exc

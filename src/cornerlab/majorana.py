@@ -175,6 +175,14 @@ def _pauli_form(s: MajoranaString) -> tuple[np.ndarray, np.ndarray]:
     return perm, coeff
 
 
+@lru_cache(maxsize=None)
+def _parity_form(s: MajoranaString) -> tuple[np.ndarray, np.ndarray]:
+    """`_pauli_form`, once per Hermitian string; others raise, every call."""
+    if not s.is_hermitian():
+        raise ValueError(f"{s!r} is not a Hermitian parity string")
+    return _pauli_form(s)
+
+
 def apply(s: MajoranaString, psi: np.ndarray) -> np.ndarray:
     """S psi for a 16-vector, or S applied to each column of a 16-row array."""
     perm, coeff = _pauli_form(s)
@@ -309,12 +317,11 @@ def measure(
     its exact norm sqrt(<post|post>), not by 2 sqrt(p), whose relative
     error eps/p would break the unit norm of a branch with p ~ 1e-10.
     """
-    if not parity.is_hermitian():
-        raise ValueError(f"{parity!r} is not a Hermitian parity string")
+    perm, coeff = _parity_form(parity)
     if (rng is None) == (force is None):
         raise ValueError("pass exactly one of rng= or force=")
     psi = state.amplitudes
-    p_psi = apply(parity, psi)
+    p_psi = coeff * psi[perm]
     p_plus = min(max((1 + float(np.vdot(psi, p_psi).real)) / 2, 0.0), 1.0)
     if force is not None:
         if force not in (+1, -1):
@@ -329,8 +336,12 @@ def measure(
             f"(probability {prob:.3e})"
         )
     post = psi + p_psi if outcome == 1 else psi - p_psi
-    post /= math.sqrt(np.vdot(post, post).real)
-    return MeasureResult(outcome, FockState(post), prob)
+    norm = math.sqrt(np.vdot(post, post).real)
+    if not 0 < norm < math.inf:            # also rejects nan
+        raise ValueError(f"post-measurement norm {norm} is not finite and positive")
+    out = FockState.__new__(FockState)     # unit norm by construction: no checks
+    out.amplitudes = post / norm
+    return MeasureResult(outcome, out, prob)
 
 
 # --- text form of parity strings (external interface) ----------------------

@@ -660,7 +660,8 @@ def majorana_mode_expansion(
     Each correction order cancels the off-resonant residual components
     with delta_v = -R_m / (nu_m omega); resonant components (frequency 0
     for zero modes, -+omega/2 for pi modes) are reduced with a pseudo-
-    inverse of (iA0 + nu omega), leaving the irreducible part.
+    inverse of (iA0 + nu omega), taken from one eigendecomposition of the
+    Hermitian iA0 per call, leaving the irreducible part.
 
     For pi modes the first correction order can be forced to use explicit
     coefficients (a, b): delta at e^{-3 i w t/2} = a [h1, seed]/(2w) and at
@@ -674,7 +675,6 @@ def majorana_mode_expansion(
     """
     if species not in ("zero", "pi"):
         raise ValueError(f"species must be 'zero' or 'pi', got {species!r}")
-    n = a0.shape[0]
     if species == "zero":
         kick = np.linalg.norm(a0 @ seed)
         if kick > seed_tol * max(np.linalg.norm(a0, 2), 1.0):
@@ -694,7 +694,7 @@ def majorana_mode_expansion(
         comp = {0: np.array(seed, dtype=complex),
                 1: np.array(seed.conj(), dtype=complex)}
 
-    spec_a0 = np.linalg.eigvalsh(1j * a0)
+    spec_a0, vecs_a0 = np.linalg.eigh(1j * a0)
     res = _expansion_residual(comp, a0, a1, omega, species)
     history = [_residual_norm(res)]
 
@@ -715,22 +715,16 @@ def majorana_mode_expansion(
                 # operator is safely invertible.  In frequency sectors the
                 # h0 spectrum reaches (nu = -+1/2 for pi modes, nu = 0 for
                 # zero modes at gapless points) the solve is trimmed:
-                # singular directions below 0.1 * omega are
-                # dropped, leaving the irreducible part of the residual.
+                # eigen-directions with |w + nu w| below 0.1 * omega (at
+                # nu = 0, where only the near-kernel needs protecting, below
+                # 1e-6 * omega) are dropped, leaving the irreducible part.
                 nu = _nu(m, species)
-                op = 1j * a0 + nu * omega * np.eye(n)
-                dists = np.abs(spec_a0 + nu * omega)
-                # at nu = 0 only the (near-)kernel needs protecting; at
-                # band-resonant nu != 0 trim at 0.1 * omega
+                shifted = spec_a0 + nu * omega
                 sigma_min = 1e-6 * omega if nu == 0 else 0.1 * omega
-                if dists.min() >= 2 * sigma_min:
-                    delta = np.linalg.solve(op, -r)
-                else:
-                    u, s, vt = np.linalg.svd(op)
-                    keep = s >= sigma_min
-                    delta = vt.conj().T[:, keep] @ (
-                        (u.conj().T[keep] @ (-r)) / s[keep])
-                comp[m] = comp.get(m, np.zeros(n, dtype=complex)) + delta
+                keep = np.abs(shifted) >= sigma_min
+                delta = vecs_a0[:, keep] @ (
+                    (vecs_a0[:, keep].conj().T @ (-r)) / shifted[keep])
+                comp[m] = comp.get(m, 0) + delta
         res = _expansion_residual(comp, a0, a1, omega, species)
         history.append(_residual_norm(res))
 

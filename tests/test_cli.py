@@ -444,3 +444,14 @@ def test_pool_bench_pairs_runs_of_both_sides(tmp_path):
     assert w["parent"]["traced"]["op_p50_s"]["range"] == [0.4, 0.7]
     assert w["traced_change_over_parent"] == {"op_p50_s": 0.5}
     assert rec["machine"]["nproc"] == 2 and rec["units"] == {"op_p50_s": "s"}
+    # an A/A set: a second copy of the parent, pooled against the parent
+    for seed, a in enumerate([1.1, 1.1, 0.8], 1):
+        write("copy", seed, 0, a)
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--out", str(out), "--a-a", str(tmp_path / "copy")]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["workloads"]["w"]["change_wins"] == {"op_p50_s": 2}
+    aa = rec["a_a"]["workloads"]["w"]
+    assert aa["pairs"] == 3 and aa["change_wins"] == {"op_p50_s": 2}
+    assert aa["change"]["runs"] == {"op_p50_s": [1.1, 1.1, 0.8]}
+    assert aa["change_over_parent"] == {"op_p50_s": 1.1}

@@ -250,6 +250,25 @@ def _rotated_weights(spec, shape):
     return out
 
 
+def test_half_size_solve_memory_peak():
+    # Every product runs on scipy's BLAS with B.T, Fortran-ordered, so f2py
+    # copies nothing: the peak of the traced allocations (B^T B, the
+    # vectors and eigh's workspace) stays near one B.  Handing dsyrk a
+    # C-ordered B copies it and reads ~2.0 B.
+    import tracemalloc
+
+    sm = assemble_sambe(lattice.build_realspace_bdg(fig_s1_params(Nx=5, Ny=5)), 4)
+    quasienergy_spectrum(sm, tol_zero=2e-2, tol_pi=2e-2)     # imports scipy
+    tracemalloc.start()
+    try:
+        spec = quasienergy_spectrum(sm, tol_zero=2e-2, tol_pi=2e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.counts() == {"zero": 4, "pi": 4}       # the LU path ran
+    assert peak <= 1.5 * sm.matrix.nbytes
+
+
 def test_half_size_vectors_match_complex_solve(raw_vectors):
     p = fig_s1_params(Nx=4, Ny=4)
     bdg = lattice.build_realspace_bdg(p)

@@ -241,6 +241,27 @@ def test_measure_validation(rng):
         measure(s, pauli("z", 1), rng=rng, force=1)
 
 
+def test_measure_non_hermitian_raises_every_call(rng):
+    # the Hermitian check is cached per string; a failed check is not, so
+    # every call on a non-Hermitian string raises, in both modes
+    s = encode_logical([1, 0], [1, 0], [1, 0])
+    bad = string(1, [g("0", 1), g("pi", 2)])
+    assert not bad.is_hermitian()
+    for _ in range(3):
+        for kw in ({"force": 1}, {"force": -1}, {"rng": rng}):
+            with pytest.raises(ValueError, match="not a Hermitian parity"):
+                measure(s, bad, **kw)
+    assert measure(s, pauli("z", 1), force=1).outcome == 1
+
+
+def test_measure_rejects_non_finite_post_state():
+    # the post-state skips FockState's checks; its norm is still guarded
+    state = mj.FockState(np.eye(DIM, dtype=complex)[0])
+    state.amplitudes = np.full(DIM, np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="not finite and positive"):
+        measure(state, pauli("z", 1), force=1)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_measure_idempotence_and_sector(seed):

@@ -415,3 +415,60 @@ def test_explicit_coefficient_step_matches_bare_formula():
     y = 1j * (a1 @ seed.conj())
     assert np.abs(exp.components[-1] - (2 / 3) * x / (2 * W)).max() < 1e-14
     assert np.abs(exp.components[2] - (-2 / 5) * y / (2 * W)).max() < 1e-14
+
+
+def _expansion_reference(a0, a1, seed, species, order, omega=W):
+    """The generic sweep with one np.linalg.solve, or a trimmed SVD, of
+    (iA0 + nu w) per harmonic per order: (residual history, components)."""
+    n = a0.shape[0]
+    comp = {0: np.array(seed, dtype=complex)}
+    if species == "pi":
+        comp[1] = np.array(seed.conj(), dtype=complex)
+    spec = np.linalg.eigvalsh(1j * a0)
+    res = pb._expansion_residual(comp, a0, a1, omega, species)
+    history = [pb._residual_norm(res)]
+    for _ in range(order):
+        for m, r in res.items():
+            if np.linalg.norm(r) == 0:
+                continue
+            nu = pb._nu(m, species)
+            op = 1j * a0 + nu * omega * np.eye(n)
+            sigma_min = 1e-6 * omega if nu == 0 else 0.1 * omega
+            if np.abs(spec + nu * omega).min() >= 2 * sigma_min:
+                delta = np.linalg.solve(op, -r)
+            else:
+                u, s, vt = np.linalg.svd(op)
+                keep = s >= sigma_min
+                delta = vt.conj().T[:, keep] @ (
+                    (u.conj().T[keep] @ (-r)) / s[keep])
+            comp[m] = comp.get(m, np.zeros(n, dtype=complex)) + delta
+        res = pb._expansion_residual(comp, a0, a1, omega, species)
+        history.append(pb._residual_norm(res))
+    return history, comp
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_expansion_resolvent_matches_solve_and_svd(seed):
+    # criterion 5a's chains (seed None) and chains with every parameter
+    # drawn +-5 %; the eigen-resolvent of one eigh(iA0) against the
+    # per-harmonic solve / trimmed SVD it replaces
+    f = (np.ones(7) if seed is None
+         else 1.0 + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 7))
+    zero = kitaev_chain_bdg(40, J=0.3 * f[0], Delta=0.3 * f[0], mu0=0.05 * f[1],
+                            mu1=0.4 * f[2], omega=W)
+    pi = kitaev_chain_bdg(60, J=1.2 * f[3], Delta=1.2 * f[4], mu0=1.0 * f[5],
+                          mu1=0.5 * f[6], omega=W)
+    for bdg, species in ((zero, "zero"), (pi, "pi")):
+        a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
+        a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
+        if species == "zero":
+            v, kw = zero_mode_seeds(a0, tol=1e-6)[:, 0], {}
+        else:
+            v, kw = pi_mode_seeds(a0, a1, W, tol=0.05)[0], {"seed_tol": 0.2}
+        exp = majorana_mode_expansion(a0, a1, v, species, order=3, omega=W, **kw)
+        history, comp = _expansion_reference(a0, a1, v, species, 3)
+        assert np.allclose(exp.residual_history, history, rtol=1e-12, atol=0)
+        assert set(exp.components) == set(comp)
+        for m, c in comp.items():
+            err = np.abs(exp.components[m] - c).max()
+            assert err <= 1e-12 * np.abs(c).max(), (species, m, err)
