@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 from cornerlab import floquet, majorana, perturbation, protocols, readout
 from cornerlab.lattice import (LatticeParams, build_momentum_bdg,
                                build_realspace_bdg, kitaev_chain_bdg,
-                               momentum_grid)
+                               momentum_grid, momentum_partners)
 
 SCHEMA_VERSION = 1
 
@@ -187,14 +188,15 @@ def write_json(path: Path, payload: dict):
 
 def _spectrum_of(cfg: dict, bloch: bool = False):
     """The lattice's folded spectrum.  With `bloch`, a periodic-both lattice
-    is solved per Bloch block, for quasienergies only (no modes)."""
+    is solved per Bloch block, one block of each +-k pair, for
+    quasienergies only (no modes)."""
     if "lattice" not in cfg:
         raise ConfigError("config needs a 'lattice' section")
     params = LatticeParams(**cfg["lattice"])
     sambe = cfg["sambe"]
     if bloch and params.boundary == "periodic-both":
         kx, ky = np.array(momentum_grid(params)).T
-        bdg = build_momentum_bdg(params, kx, ky)
+        bdg = build_momentum_bdg(params, kx, ky, momentum_partners(params))
     else:
         bdg = build_realspace_bdg(params)
     sm = floquet.assemble_sambe(bdg, sambe["cutoff"])
@@ -433,7 +435,9 @@ _COMMANDS = {"spectrum": cmd_spectrum, "modes": cmd_modes,
              "ptcheck": cmd_ptcheck}
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cornerlab",
         description="Driven corner-Majorana laboratory experiment runner",
@@ -446,7 +450,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "protocol":
             p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, getattr(args, "seed", None))

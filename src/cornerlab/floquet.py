@@ -28,7 +28,14 @@ Bloch blocks: a periodic-both lattice is block-diagonal in crystal
 momentum.  A batched operator (one 4x4 block per k, from
 `build_momentum_bdg` on arrays of momenta) is assembled as the stack of
 its complex Sambe matrices and solved for eigenvalues only, in one batched
-call, with the zone count checked per block.
+call, with the zone count checked per block.  Particle-hole symmetry
+P = tau_x K sends the Sambe block at k to minus the block at -k at any
+cutoff (harmonic n goes to -n, and -M..M maps onto itself).  So with a
+partner map (`lattice.momentum_partners`), the assembler checks
+tau_x h^(-m)(k)* tau_x = -h^(m)(-k) for every harmonic and assembles one
+block of each +-k pair, and the solve takes each partner's spectrum as
+-lambda[::-1] of the block solved; a block that is its own partner gets
+(lambda - lambda[::-1]) / 2, so the spectrum is exactly paired.
 
 Species windows: a mode is `zero` if its quasienergy lies within tol_zero
 of 0, and `pi` if it lies within tol_pi of +-omega/2 on the quasienergy
@@ -51,13 +58,16 @@ from cornerlab.lattice import DrivenBdG, Mirror
 class SambeMatrix:
     """Assembled extended-space matrix with cutoff M (blocks n = -M..M):
     the real half-size block B, of size dim/2, if `mirror` is set, else the
-    complex Hermitian Sambe matrix in the site basis."""
+    complex Hermitian Sambe matrix in the site basis.  With `partner` (the
+    operator's map of each Bloch block to the one at minus its momentum),
+    `matrix` stacks only the blocks k <= partner[k], in order."""
 
     m_cutoff: int
     blockdim: int
     omega: float
     matrix: np.ndarray
     mirror: Mirror | None = None
+    partner: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -129,21 +139,27 @@ class SpectrumResult:
         return {s: labels.count(s) for s in ("zero", "pi")}
 
 
-def _check_particle_hole(real: dict[int, np.ndarray]) -> None:
-    """Raise ValueError unless tau_x h'^(-k) tau_x = -h'^(k) for every
-    real-basis harmonic, i.e. unless J anticommutes with K'."""
-    for k, h in real.items():
-        swap = np.arange(len(h)) ^ 1      # tau_x: particle <-> hole columns
-        defect = np.abs(h[1::2] + real[-k][0::2, swap]).max(initial=0.0)
+def _check_particle_hole(harmonics: dict[int, np.ndarray],
+                         partner=Ellipsis) -> None:
+    """Raise ValueError unless tau_x h^(-k)* tau_x = -h^(k) for every
+    harmonic k: in the real basis (J anticommutes with K'), or for a Bloch
+    stack with the right side at each block's `partner` (minus its
+    momentum)."""
+    for k, h in harmonics.items():
+        swap = np.arange(h.shape[-1]) ^ 1      # tau_x: particle <-> hole
+        image = harmonics[-k][..., swap, :][..., swap].conj()
+        defect = np.abs(h[partner] + image).max(initial=0.0)
         if defect > 1e-12 * np.abs(h).max(initial=0.0):
             raise ValueError(f"harmonic {k} breaks particle-hole symmetry: "
-                             f"defect {defect:.3e} in the real basis")
+                             f"defect {defect:.3e}")
 
 
 def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
     """Block-assemble the Sambe matrix for harmonic cutoff M >= 0 (M = 0
     only for static operators).  A batched operator (Bloch blocks) gives
-    the stack of their complex Sambe matrices, leading axes first.
+    the stack of their complex Sambe matrices, leading axes first; with a
+    partner map, the harmonics must be particle-hole symmetric between
+    partners (else ValueError) and only one block of each pair is stacked.
 
     With a mirror, each harmonic is first taken to the real basis (raising
     ValueError if one breaks the mirror or particle-hole symmetry) and only
@@ -160,7 +176,12 @@ def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
     # (sign s, offset c, block): block (n, m) with m = s * n + c gets `block`
     if bdg.mirror is None:
         e, dtype = bdg.dim, complex
-        terms = [(1, -k, h) for k, h in bdg.harmonics.items()]
+        harmonics = bdg.harmonics
+        if bdg.partner is not None:
+            _check_particle_hole(harmonics, bdg.partner)
+            keep = np.arange(bdg.partner.size) <= bdg.partner
+            harmonics = {k: h[keep] for k, h in harmonics.items()}
+        terms = [(1, -k, h) for k, h in harmonics.items()]
     else:
         real = {k: bdg.mirror.to_real(h, k) for k, h in bdg.harmonics.items()}
         _check_particle_hole(real)
@@ -168,7 +189,7 @@ def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
         terms = [t for k, h in real.items()
                  for t in ((1, -k, h[0::2, 0::2]), (-1, k, -h[0::2, 1::2]))]
     D = (2 * M + 1) * e
-    H = np.zeros(bdg.batch + (D, D), dtype=dtype)
+    H = np.zeros(terms[0][2].shape[:-2] + (D, D), dtype=dtype)
     for s, c, block in terms:
         for n in range(-M, M + 1):
             m = s * n + c
@@ -178,7 +199,7 @@ def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
     diag = np.arange(D)
     H[..., diag, diag] += np.repeat(np.arange(-M, M + 1) * bdg.omega, e)
     return SambeMatrix(m_cutoff=M, blockdim=bdg.dim, omega=bdg.omega,
-                       matrix=H, mirror=bdg.mirror)
+                       matrix=H, mirror=bdg.mirror, partner=bdg.partner)
 
 
 def circular_distance(eps, target, omega):
@@ -249,7 +270,9 @@ def quasienergy_spectrum(
     (u -+ v)/2 on the holes of -n, mapped back to sites.  Pi modes near
     -omega/2 are shifted to the +omega/2 representative.
     A stack of Bloch-block Sambe matrices is solved for eigenvalues only,
-    in one batched call; each block's zone must hold `blockdim` states, and
+    in one batched call; with a partner map, each partner's spectrum is
+    minus the reversed spectrum of the block solved (module docstring).
+    Each block's zone, partners included, must hold `blockdim` states, and
     the result holds their union and no modes.
     """
     w = sambe.omega
@@ -266,6 +289,14 @@ def quasienergy_spectrum(
     try:
         if B.ndim > 2:
             evals = np.linalg.eigvalsh(B.reshape((-1,) + B.shape[-2:]))
+            if sambe.partner is not None:
+                p = sambe.partner
+                kept = np.flatnonzero(np.arange(p.size) <= p)
+                own = p[kept] == kept
+                evals[own] = (evals[own] - evals[own, ::-1]) / 2
+                full = np.empty((p.size, evals.shape[1]))
+                full[kept], full[p[kept]] = evals, -evals[:, ::-1]
+                evals = full
             zone = (evals > -w / 2) & (evals <= w / 2)
             held, evals = zone.sum(axis=1), np.sort(evals[zone])
         elif sambe.mirror is None:

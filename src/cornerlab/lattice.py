@@ -42,9 +42,16 @@ PAULI = {
 }
 
 
+# the 16 products kron(sigma_s, eta_e), built once and read-only
+_SIGMA_ETA = {(s, e): np.kron(PAULI[s], PAULI[e]) for s in PAULI for e in PAULI}
+for _m in _SIGMA_ETA.values():
+    _m.setflags(write=False)
+
+
 def sigma_eta(s: str, e: str) -> np.ndarray:
-    """kron(sigma_s, eta_e) on the 4-dim (sublattice x Nambu) space."""
-    return np.kron(PAULI[s], PAULI[e])
+    """kron(sigma_s, eta_e) on the 4-dim (sublattice x Nambu) space, as a
+    read-only array."""
+    return _SIGMA_ETA[s, e]
 
 
 @dataclass(frozen=True)
@@ -174,11 +181,15 @@ class DrivenBdG:
     Matrices are frozen (non-writeable views).  `mirror`, if given, is an
     antiunitary symmetry of every harmonic of an unbatched operator (see
     `Mirror`); the Sambe assembler then works in the basis where all are
-    real.
+    real.  `partner`, if given, maps each block of a one-axis batch to the
+    block at minus its momentum (`momentum_partners`); the Sambe assembler
+    then checks particle-hole symmetry between them and keeps one block of
+    each pair.
     """
 
     def __init__(self, harmonics: dict[int, np.ndarray], omega: float,
-                 mirror: Mirror | None = None):
+                 mirror: Mirror | None = None,
+                 partner: np.ndarray | None = None):
         if not harmonics:
             raise ValueError("need at least one harmonic")
         dims = {np.shape(h) for h in harmonics.values()}
@@ -191,6 +202,14 @@ class DrivenBdG:
             raise ValueError(f"mirror of size {mirror.perm.size} on dim "
                              f"{self.dim} with batch {self.batch}")
         self.mirror = mirror
+        if partner is not None:
+            partner = np.asarray(partner, dtype=np.intp)
+            if (len(self.batch) != 1 or partner.shape != self.batch
+                    or not np.array_equal(partner[partner],
+                                          np.arange(partner.size))):
+                raise ValueError(f"partner map of shape {partner.shape} is "
+                                 f"not an involution of batch {self.batch}")
+        self.partner = partner
         self._h = {}
         for m, mat in harmonics.items():
             arr = np.array(mat, dtype=complex)
@@ -322,7 +341,8 @@ def build_realspace_bdg(params: LatticeParams) -> DrivenBdG:
                      x_mirror(Lx, Ly))
 
 
-def build_momentum_bdg(params: LatticeParams, kx, ky) -> DrivenBdG:
+def build_momentum_bdg(params: LatticeParams, kx, ky,
+                       partner: np.ndarray | None = None) -> DrivenBdG:
     """4x4 Bloch BdG Fourier components at momentum (kx, ky).
 
     h(k, t) = [-(J_{y,-} + J_{y,+} cos ky) sx - J_{y,+} sin ky sy
@@ -332,7 +352,8 @@ def build_momentum_bdg(params: LatticeParams, kx, ky) -> DrivenBdG:
               + 2 Dx sin kx ey
     with s (e) the sublattice (Nambu) Paulis.  Array momenta broadcast:
     the harmonics then carry their shape as a leading batch, each block
-    equal to the scalar build at its momentum.
+    equal to the scalar build at its momentum; `partner` goes to
+    `DrivenBdG`.
     """
     jyp = params.Jy + params.dJ
     jym = params.Jy - params.dJ
@@ -353,7 +374,7 @@ def build_momentum_bdg(params: LatticeParams, kx, ky) -> DrivenBdG:
     h1 = np.broadcast_to((params.mu1 * sigma_eta("0", "z")
                           + params.dmu1 * sigma_eta("z", "z")) / 2.0, h0.shape)
     return DrivenBdG({0: h0, 1: h1, -1: np.swapaxes(h1, -1, -2).conj()},
-                     params.omega)
+                     params.omega, partner=partner)
 
 
 def momentum_grid(params: LatticeParams) -> list[tuple[float, float]]:
@@ -365,6 +386,14 @@ def momentum_grid(params: LatticeParams) -> list[tuple[float, float]]:
     kxs = [wrap(TWO_PI * m / (2 * params.Nx)) for m in range(2 * params.Nx)]
     kys = [wrap(TWO_PI * m / params.Ny) for m in range(params.Ny)]
     return [(kx, ky) for kx in kxs for ky in kys]
+
+
+def momentum_partners(params: LatticeParams) -> np.ndarray:
+    """Index in `momentum_grid` of -k for each of its points k: grid index
+    (m, n) goes to ((-m) mod 2*Nx, (-n) mod Ny).  Points with kx and ky
+    each 0 or pi are their own partners."""
+    m, n = np.divmod(np.arange(2 * params.Nx * params.Ny), params.Ny)
+    return (-m) % (2 * params.Nx) * params.Ny + (-n) % params.Ny
 
 
 def check_symmetry(

@@ -316,6 +316,36 @@ def test_ptcheck_outputs(tmp_path):
 WINDOW = 0.8
 
 
+def test_main_in_process_matches_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process: repeated in-process calls, with
+    # different subcommands, --seed on one protocol call and not the next,
+    # and a bad argument, must behave as one fresh process per call
+    kitaev = write(tmp_path, "k.json", KITAEV)
+    proto = write(tmp_path, "p.json", {"protocol": {
+        "id": "cnot", "mode": "sample", "seed": 5, "n_inputs": 1,
+        "samples": 2}})
+    calls = [(0, ["spectrum", "--config", kitaev, "--format", "json"]),
+             (0, ["protocol", "--config", proto, "--seed", "11"]),
+             (0, ["protocol", "--config", proto]),
+             (2, ["spectrum", "--config", kitaev, "--seed", "3"]),
+             (0, ["spectrum", "--config", kitaev])]
+    for i, (want, args) in enumerate(calls * 2):
+        fresh = run_cli(*args, "--out", str(tmp_path / f"fresh{i}"))
+        try:
+            code = cli.main([*args, "--out", str(tmp_path / f"in{i}")])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == fresh.returncode == want
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+        names = sorted(f.name for f in (tmp_path / f"fresh{i}").glob("*"))
+        assert names == sorted(f.name for f in (tmp_path / f"in{i}").glob("*"))
+        for name in names:
+            assert ((tmp_path / f"fresh{i}" / name).read_bytes()
+                    == (tmp_path / f"in{i}" / name).read_bytes())
+    assert cli._parser() is cli._parser()
+
+
 def _lattice_config(Nx, Ny, boundary, **over):
     """fig_s1 couplings with wide species windows, so both hold states."""
     lat = dataclasses.asdict(fig_s1_params(Nx, Ny, boundary))

@@ -371,9 +371,25 @@ def test_cutoff_3_counts_on_seeded_lattices():
         assert spec.quasienergies.size == 200
 
 
-def _bloch_sambe(p, M):
+def _grid_bdg(p, paired=True):
+    """The Bloch stack over `momentum_grid`; `paired` gives it the partner
+    map, as `cornerlab spectrum` does."""
     kx, ky = np.array(lattice.momentum_grid(p)).T
-    return assemble_sambe(lattice.build_momentum_bdg(p, kx, ky), M)
+    return lattice.build_momentum_bdg(
+        p, kx, ky, lattice.momentum_partners(p) if paired else None)
+
+
+def _bloch_sambe(p, M, paired=True):
+    return assemble_sambe(_grid_bdg(p, paired), M)
+
+
+def _random_torus(size, key):
+    draw = np.random.default_rng(key)
+    names = ("Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
+             "mu0", "dmu0", "mu1", "dmu1")
+    return lattice.LatticeParams(*size, **{n: draw.uniform(-1.5, 1.5)
+                                           for n in names},
+                                 boundary="periodic-both")
 
 
 @pytest.mark.parametrize("M", [3, 4])
@@ -382,12 +398,7 @@ def test_bloch_spectrum_matches_realspace(size, M):
     # a torus is block-diagonal in momentum: the stacked k-block solve must
     # reproduce the real-space solve, windows (wide, so they hold states)
     # and gaps included
-    draw = np.random.default_rng([*size, M])
-    names = ("Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
-             "mu0", "dmu0", "mu1", "dmu1")
-    p = lattice.LatticeParams(*size, **{n: draw.uniform(-1.5, 1.5)
-                                        for n in names},
-                              boundary="periodic-both")
+    p = _random_torus(size, [*size, M])
     tols = {"tol_zero": 0.4, "tol_pi": 0.4}
     bloch = quasienergy_spectrum(_bloch_sambe(p, M), **tols)
     real = quasienergy_spectrum(
@@ -414,6 +425,87 @@ def test_bloch_cutoff_too_small_raises():
         quasienergy_spectrum(_bloch_sambe(p, 1))
     with pytest.raises(RuntimeError, match="not blockdim = 8.*raise the cutoff"):
         quasienergy_spectrum(assemble_sambe(lattice.build_realspace_bdg(p), 1))
+    # with +-k pairs on the grid, the paired solve names the k-block (its
+    # index in momentum_grid) and count that the full-grid solve names
+    p = dataclasses.replace(p, Nx=2, Ny=3)
+    messages = []
+    for paired in (False, True):
+        with pytest.raises(RuntimeError, match="k-block .* raise the cutoff") as err:
+            quasienergy_spectrum(_bloch_sambe(p, 1, paired))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_bloch_short_partner_block_is_named():
+    # static blocks (M = 0): block 1 holds omega/2, which its zone
+    # (-omega/2, omega/2] keeps; its partner, block 2, then holds -omega/2
+    # and is one state short.  Only block 1 is solved, and block 2 is named
+    swap = [1, 0, 3, 2]                                  # tau_x
+    own = np.diag([0.1, -0.1, 0.2, -0.2]).astype(complex)
+    h = np.diag([W / 2, 0.1, 0.2, 0.3]).astype(complex)
+    h = np.stack([own, h, -h[swap][:, swap].conj()])
+    for partner in (None, [0, 2, 1]):
+        sm = assemble_sambe(DrivenBdG({0: h}, W, partner=partner), 0)
+        assert sm.matrix.shape[0] == (3 if partner is None else 2)
+        with pytest.raises(RuntimeError, match="k-block 2 holds 3 states"):
+            quasienergy_spectrum(sm)
+
+
+@pytest.mark.parametrize("M", [3, 4])
+@pytest.mark.parametrize("Ny", [1, 2, 3])
+@pytest.mark.parametrize("Nx", [1, 2, 3])
+def test_paired_bloch_solve_matches_full_grid(Nx, Ny, M, monkeypatch):
+    # P = tau_x K sends the Sambe block at k to minus the block at -k: one
+    # block of each +-k pair, solved, must give what every block gives.  An
+    # even Ny puts ky = pi on the grid, an odd one leaves it off
+    p = _random_torus((Nx, Ny), [Nx, Ny, M, 1])
+    tols = {"tol_zero": 0.4, "tol_pi": 0.4}
+    full = quasienergy_spectrum(_bloch_sambe(p, M, paired=False), **tols)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    paired = quasienergy_spectrum(_bloch_sambe(p, M), **tols)
+    partner = lattice.momentum_partners(p)
+    n, n_self = partner.size, int((partner == np.arange(partner.size)).sum())
+    assert n_self == (4 if Ny % 2 == 0 else 2)
+    D = (2 * M + 1) * 4
+    assert shapes == [((n + n_self) // 2, D, D)]
+    eps = paired.quasienergies
+    assert eps.size == full.quasienergies.size == 4 * n
+    assert np.abs(eps - full.quasienergies).max() < 1e-12
+    assert np.array_equal(eps, -eps[::-1])
+    assert paired.species() == full.species()
+    assert paired.counts() == full.counts()
+    assert np.allclose(paired.gaps, full.gaps, rtol=0, atol=1e-12)
+    for s in ("zero", "pi"):
+        assert np.allclose(paired.window_quasienergies(s),
+                           full.window_quasienergies(s), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_bloch_particle_hole_breaking_raises(m):
+    # a harmonic that breaks tau_x h^(-m)(k)* tau_x = -h^(m)(-k) at one k
+    # raises, naming it, before any block's spectrum is taken from its
+    # partner's; so does a partner map that pairs the wrong blocks
+    p = fig_s1_params(2, 2, "periodic-both")
+    bdg = _grid_bdg(p)
+    h = bdg.harmonics
+    h[m] = np.array(h[m])
+    h[m][3] += 0.1 * np.eye(4)
+    h[-m] = np.swapaxes(h[m], -1, -2).conj()
+    with pytest.raises(ValueError,
+                       match=f"harmonic {m} breaks particle-hole symmetry"):
+        assemble_sambe(DrivenBdG(h, W, partner=bdg.partner), 4)
+    with pytest.raises(ValueError, match="breaks particle-hole symmetry"):
+        assemble_sambe(DrivenBdG(bdg.harmonics, W,
+                                 partner=np.arange(bdg.partner.size)), 4)
+    with pytest.raises(ValueError, match="not an involution"):
+        DrivenBdG(bdg.harmonics, W, partner=np.roll(bdg.partner, 1))
 
 
 def test_import_leaves_scipy_linalg_unloaded():
@@ -435,6 +527,9 @@ def test_import_leaves_scipy_linalg_unloaded():
         "kx, ky = zip(*lattice.momentum_grid(p))\n"
         "floquet.quasienergy_spectrum(floquet.assemble_sambe(\n"
         "    lattice.build_momentum_bdg(p, kx, ky), 4))\n"
+        "floquet.quasienergy_spectrum(floquet.assemble_sambe(\n"
+        "    lattice.build_momentum_bdg(p, kx, ky,\n"
+        "                               lattice.momentum_partners(p)), 4))\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -13,6 +13,7 @@ from cornerlab.lattice import (
     fig_s1_params,
     kitaev_chain_bdg,
     momentum_grid,
+    momentum_partners,
     reduce_to_1d,
     sigma_eta,
     symmetry_op,
@@ -126,6 +127,34 @@ def test_realspace_momentum_consistency():
     with pytest.raises(ValueError, match="not mutually adjoint"):
         DrivenBdG({0: stack.component(0), 1: h1,
                    -1: stack.component(-1)}, p.omega)
+
+
+def test_sigma_eta_table_is_kron_and_read_only():
+    # build_momentum_bdg reads the 16 products from one module-level table
+    for s in "0xyz":
+        for e in "0xyz":
+            m = sigma_eta(s, e)
+            assert np.array_equal(m, np.kron(lattice.PAULI[s], lattice.PAULI[e]))
+            assert m.dtype == complex and not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("Ny", [1, 2, 3])
+@pytest.mark.parametrize("Nx", [1, 2, 3])
+def test_momentum_partners_map_k_to_minus_k(Nx, Ny):
+    p = fig_s1_params(Nx, Ny, "periodic-both")
+    k = np.array(momentum_grid(p))
+    partner = momentum_partners(p)
+    assert partner.shape == (len(k),)
+    assert np.array_equal(partner[partner], np.arange(len(k)))
+    # -k and k[partner] differ by a reciprocal lattice vector
+    d = (k[partner] + k) / (2 * np.pi)
+    assert np.abs(d - np.round(d)).max() < 1e-12
+    # the self-partnered points have kx and ky each 0 or pi
+    own = {tuple(x) for x in k[partner == np.arange(len(k))]}
+    kys = (0.0, np.pi) if Ny % 2 == 0 else (0.0,)
+    assert own == {(kx, ky) for kx in (0.0, np.pi) for ky in kys}
 
 
 def test_particle_hole_symmetry_random():
