@@ -207,7 +207,7 @@ def _spectrum_of(cfg: dict, bloch: bool = False):
 def cmd_spectrum(cfg: dict, out: Path, fmt: str) -> int:
     params, spec = _spectrum_of(cfg, bloch=True)
     rows = [[i, float(e), s] for i, (e, s) in
-            enumerate(zip(spec.quasienergies, spec.species()))]
+            enumerate(zip(spec.quasienergies, spec.species))]
     mode_eps = {s: spec.window_quasienergies(s) for s in ("zero", "pi")}
     write_rows(out / "spectrum", ["index", "quasienergy", "species"], rows, fmt)
     write_json(out / "summary.json", {

@@ -48,6 +48,7 @@ alignment is what makes the corner-basis rotation meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,10 +118,11 @@ class SpectrumResult:
     def modes_of(self, species: str) -> list[FloquetMode]:
         return [m for m in self.modes if m.species == species]
 
+    @cached_property
     def species(self) -> list[str]:
         """Per entry of `quasienergies`: 'zero' within tol_zero of 0, else
         'pi' within tol_pi of +-omega/2 on the quasienergy circle, else
-        'bulk'."""
+        'bulk'.  Labelled once per result."""
         e, w = self.quasienergies, self.omega
         return np.where(np.abs(e) <= self.tol_zero, "zero", np.where(
             circular_distance(e, w / 2, w) <= self.tol_pi, "pi",
@@ -131,12 +133,11 @@ class SpectrumResult:
         representative: the quasienergies of the matching `modes`."""
         w = self.omega
         return sorted(float(e) + _pi_shift(e, s, w) * w
-                      for e, s in zip(self.quasienergies, self.species())
+                      for e, s in zip(self.quasienergies, self.species)
                       if s == species)
 
     def counts(self) -> dict[str, int]:
-        labels = self.species()
-        return {s: labels.count(s) for s in ("zero", "pi")}
+        return {s: self.species.count(s) for s in ("zero", "pi")}
 
 
 def _check_particle_hole(harmonics: dict[int, np.ndarray],
@@ -337,7 +338,7 @@ def quasienergy_spectrum(
             f"blockdim = {d}, at cutoff M = {M}: raise the cutoff")
 
     result = SpectrumResult(evals, [], (np.inf, np.inf), w, tol_zero, tol_pi)
-    labels = result.species()
+    labels = result.species
     for i, (eps, species) in enumerate(zip(evals, labels)):
         if B.ndim > 2 or species == "bulk":
             continue

@@ -41,6 +41,57 @@ from cornerlab.lattice import TWO_PI, DrivenBdG
 # generic Floquet perturbation theory
 # --------------------------------------------------------------------------
 
+def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean pattern, grouped by
+    size: one (k, s) index array per size s, its rows the k components of
+    that size, each row ascending.  Labels come from min-label
+    propagation with pointer jumping, all vectorized."""
+    n = pattern.shape[0]
+    labels = np.arange(n)
+    while True:
+        new = np.where(pattern, labels, n).min(axis=1, initial=n)
+        new = np.minimum(new, labels)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    size = np.bincount(labels, minlength=n)[labels]
+    order = np.lexsort((np.arange(n), labels, size))
+    bounds = np.flatnonzero(np.diff(size[order])) + 1
+    return [rows.reshape(-1, size[rows[0]])
+            for rows in np.split(order, bounds)]
+
+
+def _block_eigh(h: np.ndarray, blocks: list[np.ndarray] | None = None,
+                vectors: bool = True):
+    """Eigenvalues of the Hermitian h in ascending order, solved block by
+    block: `blocks` are `_blocks` of a pattern that holds every nonzero of
+    h (by default h's own).  Each group of equal-size blocks is one
+    batched eigh/eigvalsh, so a connected h is the dense solve.  With
+    `vectors`, also the eigenvector columns in the same order, each
+    exactly zero outside its block, and per group the (k, s) columns that
+    hold its blocks' states."""
+    if blocks is None:
+        blocks = _blocks(h != 0)
+    subs = [h[rows[:, :, None], rows[:, None, :]] for rows in blocks]
+    if not vectors:
+        return np.sort(np.concatenate(
+            [np.linalg.eigvalsh(sub).ravel() for sub in subs]))
+    solved = [np.linalg.eigh(sub) for sub in subs]
+    evals = np.concatenate([w.ravel() for w, _ in solved])
+    order = np.argsort(evals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    vecs = np.zeros(h.shape, dtype=np.result_type(h.dtype, float))
+    cols, start = [], 0
+    for rows, (w, v) in zip(blocks, solved):
+        c = column[start:start + w.size].reshape(w.shape)
+        vecs[rows[:, :, None], c[:, None, :]] = v
+        cols.append(c)
+        start += w.size
+    return evals[order], vecs, cols
+
+
 @dataclass
 class PerturbationProblem:
     """H(t) = H0(t) + lam * V(t), both given by Fourier harmonics on the
@@ -61,10 +112,12 @@ class PerturbationProblem:
         self._h0_sambe = assemble_sambe(
             DrivenBdG(self.h0, self.omega), self.m_cutoff).matrix
         self._v_sambe = assemble_sambe(DrivenBdG(self.v, 0.0), self.m_cutoff).matrix
+        # H0 + lam*V is block-diagonal over the union pattern's components
+        self._blocks = _blocks((self._h0_sambe != 0) | (self._v_sambe != 0))
 
     @cached_property
-    def _unperturbed(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self._h0_sambe)
+    def _unperturbed(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        return _block_eigh(self._h0_sambe, self._blocks)
 
     @property
     def eps0(self) -> np.ndarray:
@@ -77,8 +130,13 @@ class PerturbationProblem:
     @cached_property
     def v_matrix(self) -> np.ndarray:
         """The perturbation in the unperturbed Sambe eigenbasis (lam excluded)."""
-        W = self.basis
-        return W.conj().T @ self._v_sambe @ W
+        _, W, cols = self._unperturbed
+        out = np.zeros_like(W)
+        for rows, c in zip(self._blocks, cols):
+            w = W[rows[:, :, None], c[:, None, :]]
+            v = self._v_sambe[rows[:, :, None], rows[:, None, :]]
+            out[c[:, :, None], c[:, None, :]] = w.conj().swapaxes(1, 2) @ v @ w
+        return out
 
     def cluster_near(self, center: float, tol: float) -> np.ndarray:
         """Indices of unperturbed Sambe states within tol of `center`."""
@@ -86,7 +144,8 @@ class PerturbationProblem:
 
     def exact_quasienergies(self) -> np.ndarray:
         """Eigenvalues of the full Sambe matrix H0 + lam*V (unfolded)."""
-        return np.linalg.eigvalsh(self._h0_sambe + self.lam * self._v_sambe)
+        return _block_eigh(self._h0_sambe + self.lam * self._v_sambe,
+                           self._blocks, vectors=False)
 
 
 # unperturbed Sambe levels closer than this to the cluster center belong to it
@@ -243,7 +302,7 @@ class ToyModel:
 
     def exact_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """(energies ascending, eigenvectors as columns) of the Hamiltonian."""
-        return np.linalg.eigh(self.harmonics[0])
+        return _block_eigh(self.harmonics[0])[:2]
 
 
 def _toy(n_leads: int, eps_plus: float, eps_minus: float,
@@ -270,15 +329,19 @@ def _toy(n_leads: int, eps_plus: float, eps_minus: float,
     lower[1, 2] = 1.0
     ident_r = np.eye(REGISTER_DIM)
 
-    H = np.kron(np.eye(dim_f), h_charge)
-    if onsite is not None:
-        H = np.kron(onsite, ident_r) + H
+    # fermion-space factors of the register operators lower and 1
+    f_lower = np.zeros((dim_f, dim_f), dtype=complex)
     for lead, k, amp in tunnel:
-        term = amp * np.kron(cs[lead].conj().T @ gam[k], lower)
-        H = H + term + term.conj().T
+        f_lower += amp * (cs[lead].conj().T @ gam[k])
+    f_ident = np.zeros((dim_f, dim_f), dtype=complex)
     for a, b, amp in links:
-        link = amp * np.kron(cs[b].conj().T @ cs[a], ident_r)
-        H = H + link + link.conj().T
+        f_ident += amp * (cs[b].conj().T @ cs[a])
+    f_ident += f_ident.conj().T
+    if onsite is not None:
+        f_ident += onsite
+    hop = np.kron(f_lower, lower)
+    H = np.kron(np.eye(dim_f), h_charge) + np.kron(f_ident, ident_r) \
+        + hop + hop.conj().T
 
     n_leads_op = sum(fock.number_op(n_modes, k) for k in range(n_leads))
     charge = np.kron(n_leads_op, ident_r) + np.kron(np.eye(dim_f),
@@ -549,14 +612,15 @@ def zero_mode_seeds(a0: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 def pi_mode_seeds(a0: np.ndarray, a1: np.ndarray, omega: float,
                   tol: float = 1e-6) -> list[np.ndarray]:
     """Complex seed vectors v with i A0 v + i A1 conj(v)/2 = (omega/2) v,
-    solved as the real block eigenproblem
-        [[0, -A0 + A1/2], [A0 + A1/2, 0]] (x; y) = (omega/2) (x; y)
-    for v = x + i y.  Raises when no eigenvalue sits near omega/2."""
-    n = a0.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, n:] = -a0 + a1 / 2
-    block[n:, :n] = a0 + a1 / 2
-    w, v = np.linalg.eig(block)
+    i.e. the real block eigenproblem
+        [[0, X], [Y, 0]] (x; y) = (omega/2) (x; y),
+    X = -A0 + A1/2, Y = A0 + A1/2, for v = x + i y.  It is solved at half
+    size: the block's eigenpairs are (+-sqrt(mu), (x; +-Y x / sqrt(mu)))
+    for the eigenpairs (mu, x) of X Y.  Raises when no block eigenvalue
+    sits near omega/2."""
+    x_op, y_op = -a0 + a1 / 2, a0 + a1 / 2
+    mu, xs = np.linalg.eig(x_op @ y_op)
+    w = np.sqrt(mu.astype(complex))          # the root that can near +omega/2
     sel = np.nonzero((np.abs(w.imag) < 1e-8)
                      & (np.abs(w.real - omega / 2) <= tol * omega))[0]
     if sel.size == 0:
@@ -567,12 +631,9 @@ def pi_mode_seeds(a0: np.ndarray, a1: np.ndarray, omega: float,
     sel = sel[np.argsort(np.abs(w[sel].real - omega / 2))]
     seeds = []
     for idx in sel:
-        x = v[:n, idx].real
-        y = v[n:, idx].real
-        vec = x + 1j * y
-        nrm = np.linalg.norm(vec)
-        if nrm > 1e-12:
-            seeds.append(vec / nrm)
+        x = xs[:, idx].real
+        vec = x + 1j * (y_op @ x / w[idx].real)      # |vec| >= |x| = 1
+        seeds.append(vec / np.linalg.norm(vec))
     return seeds
 
 
@@ -675,9 +736,11 @@ def majorana_mode_expansion(
     """
     if species not in ("zero", "pi"):
         raise ValueError(f"species must be 'zero' or 'pi', got {species!r}")
+    spec_a0, vecs_a0 = np.linalg.eigh(1j * a0)
     if species == "zero":
         kick = np.linalg.norm(a0 @ seed)
-        if kick > seed_tol * max(np.linalg.norm(a0, 2), 1.0):
+        # max |eigenvalue| of the Hermitian i A0 is ||A0||_2
+        if kick > seed_tol * max(np.abs(spec_a0).max(), 1.0):
             kdim = zero_mode_seeds(a0, tol=seed_tol).shape[1] if kick else 0
             raise ValueError(
                 f"seed does not commute with h0 (|A0 v| = {kick:.3e}); "
@@ -694,7 +757,6 @@ def majorana_mode_expansion(
         comp = {0: np.array(seed, dtype=complex),
                 1: np.array(seed.conj(), dtype=complex)}
 
-    spec_a0, vecs_a0 = np.linalg.eigh(1j * a0)
     res = _expansion_residual(comp, a0, a1, omega, species)
     history = [_residual_norm(res)]
 

@@ -376,7 +376,7 @@ def test_spectrum_periodic_both_matches_realspace(tmp_path):
             (tmp_path / "a" / "spectrum.csv").read_text().splitlines()[1:]]
     eps = np.array([float(r[1]) for r in rows])
     assert np.abs(eps - real.quasienergies).max() < 1e-12
-    assert [r[2] for r in rows] == real.species()
+    assert [r[2] for r in rows] == real.species
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["counts"] == real.counts()
     assert summary["counts"]["zero"] + summary["counts"]["pi"] > 0

@@ -405,7 +405,7 @@ def test_bloch_spectrum_matches_realspace(size, M):
         assemble_sambe(lattice.build_realspace_bdg(p), M), **tols)
     assert bloch.quasienergies.size == real.quasienergies.size
     assert np.abs(bloch.quasienergies - real.quasienergies).max() < 1e-12
-    assert bloch.species() == real.species()
+    assert bloch.species == real.species
     assert bloch.counts() == real.counts()
     assert np.allclose(bloch.gaps, real.gaps, rtol=0, atol=1e-12)
     assert bloch.modes == []
@@ -479,7 +479,7 @@ def test_paired_bloch_solve_matches_full_grid(Nx, Ny, M, monkeypatch):
     assert eps.size == full.quasienergies.size == 4 * n
     assert np.abs(eps - full.quasienergies).max() < 1e-12
     assert np.array_equal(eps, -eps[::-1])
-    assert paired.species() == full.species()
+    assert paired.species == full.species
     assert paired.counts() == full.counts()
     assert np.allclose(paired.gaps, full.gaps, rtol=0, atol=1e-12)
     for s in ("zero", "pi"):

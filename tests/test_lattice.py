@@ -129,6 +129,33 @@ def test_realspace_momentum_consistency():
                    -1: stack.component(-1)}, p.omega)
 
 
+@pytest.mark.parametrize("boundary", lattice.BOUNDARIES)
+def test_adjoint_check_is_relative_and_builders_pass(boundary):
+    # one max-abs defect per harmonic pair against 1e-12 * max(1, max|h|):
+    # allclose's default rtol = 1e-5 let a pair off by 1e-8 relative pass
+    p = fig_s1_params(Nx=1, Ny=2, boundary=boundary)
+    bdg = build_realspace_bdg(p)
+    kx, ky = np.array(momentum_grid(p)).T
+    built = [bdg, kitaev_chain_bdg(7, 1.3, 0.9, 0.7, 1.1),
+             build_momentum_bdg(p, kx, ky),
+             build_momentum_bdg(p, kx, ky, momentum_partners(p))]
+    for b in built:            # each builder's output is accepted again
+        DrivenBdG(b.harmonics, b.omega, b.mirror, b.partner)
+    h1 = np.array(bdg.component(1))
+    for scale in (1.0, 1e3):
+        big = {m: scale * np.asarray(bdg.component(m)) for m in (-1, 0, 1)}
+        DrivenBdG(big, p.omega)
+        off = {**big, 1: scale * h1 * (1 + 1e-8)}
+        with pytest.raises(ValueError, match="harmonics 1/-1 are not mutually"):
+            DrivenBdG(off, p.omega)
+    h0 = np.array(bdg.component(0))
+    h0[0, 1] += 1e-8 * np.abs(h0).max()
+    with pytest.raises(ValueError, match="harmonics 0/0"):
+        DrivenBdG({0: h0}, p.omega)
+    with pytest.raises(ValueError, match="harmonic -1 missing"):
+        DrivenBdG({0: bdg.component(0), 1: h1}, p.omega)
+
+
 def test_sigma_eta_table_is_kron_and_read_only():
     # build_momentum_bdg reads the 16 products from one module-level table
     for s in "0xyz":

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -86,6 +88,115 @@ def test_random_driven_problem_second_order_slope():
         errs.append(np.abs(exact - pred).min())
     slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.2)
+
+
+def _dense_problem(prob):
+    """The same problem with the dense eigh basis and W^H V W preset: the
+    reference for the block solve."""
+    ref = PerturbationProblem(prob.h0, prob.v, prob.omega, prob.m_cutoff,
+                              prob.lam)
+    eps, W = np.linalg.eigh(ref._h0_sambe)
+    ref._unperturbed = (eps, W, None)
+    ref.v_matrix = W.conj().T @ ref._v_sambe @ W
+    return ref
+
+
+def _toy_problems():
+    p4 = FourLeadParams(eps_plus=1.0, eps_minus=0.8,
+                        couplings={1: 1.0, 2: 0.8, 3: 0.9, 4: 1.1},
+                        link12=0.6, link34=0.5, flux12=0.4, flux43=1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p2 = TwoLeadParams(eps_plus=1.0, eps_minus=0.8, n_i=0, n_j=0,
+                           coupling_i={("0", 0): 1.0}, coupling_j={("0", 0): 0.7},
+                           direct=0.5, flux0=0.3)
+    for toy in (lambda s: four_lead_toy(p4, s), lambda s: two_lead_toy(p2, s)):
+        h0 = toy(0.0).harmonics[0]
+        yield PerturbationProblem(h0={0: h0}, v={0: toy(1.0).harmonics[0] - h0},
+                                  omega=W, m_cutoff=0, lam=0.03)
+
+
+@pytest.mark.parametrize("toy", [0, 1], ids=["four-lead", "two-lead"])
+def test_block_solve_matches_dense_on_toys(toy):
+    prob = list(_toy_problems())[toy]
+    ref = _dense_problem(prob)
+    d = prob.eps0.size
+    # charge and fermion parity split the toys into many small blocks
+    assert len(prob._blocks) > 1 and sum(b.size for b in prob._blocks) == d
+    assert max(b.shape[1] for b in prob._blocks) < d // 4
+    assert np.abs(prob.eps0 - ref.eps0).max() < 1e-12
+    assert np.abs(prob.exact_quasienergies()
+                  - np.linalg.eigvalsh(ref._h0_sambe + ref.lam * ref._v_sambe)
+                  ).max() < 1e-12
+    basis = prob.basis
+    assert np.abs(basis.conj().T @ basis - np.eye(d)).max() < 1e-12
+    assert np.abs(prob.v_matrix
+                  - basis.conj().T @ prob._v_sambe @ basis).max() < 1e-12
+    cl = prob.cluster_near(0.0, 1e-9)
+    assert cl.size >= 2 and np.array_equal(cl, ref.cluster_near(0.0, 1e-9))
+    for order in (1, 2, 3):
+        ev = np.linalg.eigvalsh(effective_hamiltonian(prob, cl, order))
+        ev_ref = np.linalg.eigvalsh(effective_hamiltonian(ref, cl, order))
+        assert np.abs(ev - ev_ref).max() < 1e-12, order
+    # the toy's exact levels come from the same helper
+    h = prob._h0_sambe + prob.lam * prob._v_sambe
+    levels, vecs = pb.ToyModel({0: h}, h, {}).exact_levels()
+    assert np.abs(levels - np.linalg.eigvalsh(h)).max() < 1e-12
+    assert np.abs(h @ vecs - vecs * levels).max() < 1e-12
+
+
+def test_block_solve_finds_permuted_blocks():
+    rng = np.random.default_rng(19)
+    sizes = [1, 3, 5, 3, 2, 5, 1, 4]
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    h = np.zeros((n, n), dtype=complex)
+    v = np.zeros((n, n), dtype=complex)
+    built, start = [], 0
+    for s in sizes:
+        idx = perm[start:start + s]
+        for m in (h, v):
+            a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+            m[np.ix_(idx, idx)] = a + a.conj().T
+        built.append(frozenset(idx.tolist()))
+        start += s
+    blocks = pb._blocks(h != 0)
+    found = [frozenset(row.tolist()) for b in blocks for row in b]
+    assert sorted(map(sorted, found)) == sorted(map(sorted, built))
+    assert [b.shape[1] for b in blocks] == sorted(set(sizes))
+    w, vecs, cols = pb._block_eigh(h)
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(h)).max() < 1e-12
+    assert np.abs(pb._block_eigh(h, vectors=False) - w).max() < 1e-12
+    assert np.abs(h @ vecs - vecs * w).max() < 1e-12
+    assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-12
+    # every column is exactly zero outside its block, and `cols` names them
+    for rows, c in zip(blocks, cols):
+        for r, cc in zip(rows, c):
+            outside = np.setdiff1d(np.arange(n), r)
+            assert not vecs[np.ix_(outside, cc)].any()
+    # a problem with complex eigenvectors: W^H V W per block
+    prob = PerturbationProblem(h0={0: h}, v={0: v}, omega=W, m_cutoff=0)
+    basis = prob.basis
+    assert np.abs(prob.v_matrix - basis.conj().T @ v @ basis).max() < 1e-12
+
+
+def test_connected_driven_problem_is_one_block():
+    rng = np.random.default_rng(5)
+    d = 6
+    h0 = {0: np.diag(np.linspace(-2.0, 2.0, d)).astype(complex)}
+    v1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    v2 = 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    v = {0: v1 + v1.conj().T, 1: v2, -1: v2.conj().T}
+    prob = PerturbationProblem(h0=h0, v=v, omega=W, m_cutoff=2, lam=0.1)
+    assert [b.shape for b in prob._blocks] == [(1, 5 * d)]
+    ref = _dense_problem(prob)
+    # one block is the dense solve it replaces
+    assert np.array_equal(prob.eps0, ref.eps0)
+    assert np.array_equal(prob.basis, ref.basis)
+    assert np.array_equal(prob.exact_quasienergies(), np.linalg.eigvalsh(
+        ref._h0_sambe + ref.lam * ref._v_sambe))
+    assert np.abs(prob.v_matrix - ref.v_matrix).max() < 1e-12
 
 
 def test_problem_rejects_bad_harmonics():
@@ -325,6 +436,18 @@ def test_zero_seed_requires_kernel():
     with pytest.raises(ValueError, match="kernel dimension"):
         majorana_mode_expansion(good, np.zeros_like(good),
                                 np.ones(12) / np.sqrt(12), "zero", 1)
+    # the bound is seed_tol * max(||A0||_2, 1): a kernel seed pushed along
+    # A0's top singular vector passes at half the bound and raises at twice
+    u, sv, _ = np.linalg.svd(good)
+    seed = zero_mode_seeds(good, tol=1e-10)[:, 0]
+    for factor, ok in ((0.5, True), (2.0, False)):
+        kicked = seed + factor * 1e-6 * max(sv[0], 1.0) / sv[0] * u[:, 0]
+        if ok:
+            majorana_mode_expansion(good, np.zeros_like(good), kicked, "zero", 1)
+        else:
+            with pytest.raises(ValueError, match="does not commute"):
+                majorana_mode_expansion(good, np.zeros_like(good), kicked,
+                                        "zero", 1)
 
 
 def test_zero_mode_seeds_accepted_by_expansion():
@@ -372,6 +495,61 @@ def test_pi_seed_error_when_band_cannot_reach():
     a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
     with pytest.raises(ValueError, match="no pi-mode seed"):
         pi_mode_seeds(a0, a1, W, tol=1e-3)
+
+
+def _pi_seeds_reference(a0, a1, omega, tol):
+    """The real 2n x 2n block eigenproblem that pi_mode_seeds solves at half
+    size: (block, selected eigenvalues, the real parts of their (x; y)
+    eigenvectors as columns), nearest omega/2 first."""
+    n = a0.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, n:] = -a0 + a1 / 2
+    block[n:, :n] = a0 + a1 / 2
+    w, v = np.linalg.eig(block)
+    sel = np.nonzero((np.abs(w.imag) < 1e-8)
+                     & (np.abs(w.real - omega / 2) <= tol * omega))[0]
+    sel = sel[np.argsort(np.abs(w[sel].real - omega / 2))]
+    return block, w[sel], v[:, sel].real
+
+
+@pytest.mark.parametrize("n_sites", [40, 60, 61])
+def test_pi_seeds_match_full_block_eig(n_sites):
+    # Seeded +-5 % chains drawn as in the expansion tests.  Every block
+    # eigenvalue is doubly degenerate (X Y is a product of two
+    # antisymmetric matrices), and on some chains each solver splits a
+    # pair by up to ~1e-5 with eigen-residuals near 1e-14: such a pair is
+    # resolved only to its splitting.  So eigenvalues agree to 1e-10 or to
+    # 4x the two solvers' splittings of their pair, and residual histories
+    # to 1e-9 relative or to 1e3x the splittings of seeds[0]'s pair.
+    for seed in range(6):
+        f = 1.0 + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 7)
+        bdg = kitaev_chain_bdg(n_sites, J=1.2 * f[3], Delta=1.2 * f[4],
+                               mu0=1.0 * f[5], mu1=0.5 * f[6], omega=W)
+        a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
+        a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
+        seeds = pi_mode_seeds(a0, a1, W, tol=0.05)
+        block, lam_ref, z_ref = _pi_seeds_reference(a0, a1, W, 0.05)
+        assert len(seeds) == lam_ref.size > 0
+        z = np.array([np.concatenate([v.real, v.imag]) for v in seeds]).T
+        lam = np.einsum("ik,ik->k", z, block @ z)       # |z| = 1
+        for v, mu in zip(seeds, lam):                   # the eigencondition
+            lhs = 1j * (a0 @ v) + 0.5j * (a1 @ v.conj()) - mu * v
+            assert np.linalg.norm(lhs) < 1e-10
+        assert np.all(np.diff(np.abs(lam - W / 2)) >= -1e-10)
+        pairs = np.sort_complex(lam_ref).reshape(-1, 2)
+        ours = np.sort(lam).reshape(-1, 2)
+        split = np.repeat(np.abs(pairs[:, 0] - pairs[:, 1])
+                          + ours[:, 1] - ours[:, 0], 2)
+        diff = np.abs(ours.ravel() - pairs.real.ravel())
+        assert np.all(diff <= np.maximum(1e-10, 4 * split))
+        split0 = split[np.argmin(np.abs(ours.ravel() - lam[0]))]
+        n = a0.shape[0]
+        hist = [majorana_mode_expansion(a0, a1, v, "pi", order=3, omega=W,
+                                        seed_tol=0.2).residual_history
+                for v in (seeds[0], (z_ref[:n, 0] + 1j * z_ref[n:, 0])
+                          / np.linalg.norm(z_ref[:, 0]))]
+        assert np.allclose(hist[0], hist[1], atol=0,
+                           rtol=max(1e-9, 1e3 * split0)), (seed, split0)
 
 
 def test_pi_mode_expansion_residuals_and_hermiticity():
@@ -472,3 +650,34 @@ def test_expansion_resolvent_matches_solve_and_svd(seed):
         for m, c in comp.items():
             err = np.abs(exp.components[m] - c).max()
             assert err <= 1e-12 * np.abs(c).max(), (species, m, err)
+
+
+def test_perturbation_layer_loads_no_scipy_linalg_or_sparse():
+    # lead-oracles' setup time and peak RSS stay flat: the block solve, the
+    # toys and the half-size pi seeds run on numpy alone
+    code = (
+        "import sys, warnings\n"
+        "import numpy as np\n"
+        "from cornerlab import perturbation as pb\n"
+        "from cornerlab.lattice import kitaev_chain_bdg\n"
+        "warnings.simplefilter('ignore')\n"
+        "p4 = pb.FourLeadParams(1.0, 1.0, {s: 1.0 for s in range(1, 5)},\n"
+        "                       0.6, 0.5, 0.4, 1.1)\n"
+        "h0 = pb.four_lead_toy(p4, 0.0).harmonics[0]\n"
+        "v = pb.four_lead_toy(p4, 1.0).harmonics[0] - h0\n"
+        "prob = pb.PerturbationProblem({0: h0}, {0: v}, 2 * np.pi, 0, 0.01)\n"
+        "pb.effective_hamiltonian(prob, prob.cluster_near(0.0, 1e-9), 3)\n"
+        "prob.exact_quasienergies()\n"
+        "p2 = pb.TwoLeadParams(1.0, 1.0, 0, 0, {('0', 0): 0.1},\n"
+        "                      {('0', 0): 0.1})\n"
+        "pb.verify_effective_model(p2, 0.5)\n"
+        "bdg = kitaev_chain_bdg(60, 1.2, 1.2, 1.0, 0.5)\n"
+        "a0 = pb.quadratic_from_bdg(np.asarray(bdg.component(0)))\n"
+        "a1 = pb.quadratic_from_bdg(2 * np.asarray(bdg.component(1)))\n"
+        "pb.pi_mode_seeds(a0, a1, 2 * np.pi, tol=0.05)\n"
+        "print(' '.join(m for m in sys.modules\n"
+        "               if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
