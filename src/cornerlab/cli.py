@@ -415,7 +415,7 @@ def _two_lead_error(params) -> float:
     exact = perturbation.verify_effective_model(params)
     pred = np.abs(np.linalg.eigvalsh(
         perturbation.effective_two_lead_block(params, +1))).max()
-    return exact * max(pred, 1e-300)
+    return float(exact * max(pred, 1e-300))
 
 
 def _expansion_report(sites: int, order: int):

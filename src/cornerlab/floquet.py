@@ -14,11 +14,13 @@ W = (1 + iR)/sqrt(2).  There particle-hole symmetry times R is the
 permutation J = tau_x (x) P_n (P_n sends harmonic n to -n), which
 anticommutes with the real Sambe matrix, so K' = [[0, B], [B^T, 0]] in J's
 eigenbasis and the spectrum is +-sigma over the singular values of B.
-Only B is assembled and solved, with one dense eigensolve (of B^T B, for
-its d/2 + 1 smallest eigenvalues) and, when the zero window is not empty,
-one LU of B; only the kept zero and pi vectors are rebuilt from its
-singular pairs and mapped back to sites.  Operators without a mirror stay
-complex.
+Only B is assembled and solved: one tridiagonal reduction of B^T B gives
+all its eigenvalues, hence the zone count and every sigma; vectors are
+computed, by inverse iteration on the tridiagonal form, only for the zero
+and pi windows and for the few sigma too small to take from sqrt(lambda),
+plus, when the zero window is not empty, one LU of B.  Only the kept zero
+and pi vectors are rebuilt from their singular pairs and mapped back to
+sites.  Operators without a mirror stay complex.
 
 One BLAS: a real-space solve runs every dense product and decomposition on
 scipy's BLAS/LAPACK.  numpy's and scipy's wheels each vendor an OpenBLAS whose
@@ -53,6 +55,13 @@ from functools import cached_property
 import numpy as np
 
 from cornerlab.lattice import DrivenBdG, Mirror
+
+
+# sigma = sqrt(lambda) from an eigenvalue of B^T B errs by c * eps *
+# ||B||^2 / sigma, c <= 0.39 on the seeded lattices and chains of the tests
+# (stated: c <= 1); where eps * ||B||^2 / sigma exceeds _SIGMA_TOL, the
+# half-size solve takes sigma from Rayleigh-Ritz instead
+_SIGMA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -246,6 +255,28 @@ def _zero_window_left(B: np.ndarray, V: np.ndarray) -> np.ndarray:
     return qr(X, mode="economic", overwrite_a=True)[0]
 
 
+def _tridiagonal_vectors(a, tau, diag, off, lam):
+    """Eigenvectors Q z of the matrix that `lapack.dsytrd(lower=1)` reduced
+    to T = tridiag(off, diag, off), for T's eigenvalues `lam` (ascending):
+    z by inverse iteration on T (dstein), then Q applied one panel of 64
+    reflectors at a time, last first, so only one panel of `a` is copied.
+    RuntimeError if any vector fails to converge."""
+    from scipy.linalg import lapack
+
+    n = diag.size
+    z, info = lapack.dstein(diag, off, lam, np.ones(n, np.int32),
+                            np.full(n, n, np.int32))
+    if info:
+        raise RuntimeError(f"inverse iteration (dstein) failed for {info} of "
+                           f"{lam.size} vectors")
+    lwork = 64 * (lam.size + 65)         # blocked dormqr's optimum, nb = 64
+    for j in range((n - 2) // 64 * 64, -1, -64):
+        k = min(j + 64, n - 1)
+        z[j + 1:], _, _ = lapack.dormqr("L", "N", a[j + 1:, j:k], tau[j:k],
+                                        z[j + 1:], lwork)
+    return z
+
+
 def quasienergy_spectrum(
     sambe: SambeMatrix,
     tol_zero: float | None = None,
@@ -255,12 +286,15 @@ def quasienergy_spectrum(
 
     The folded quasienergies are the Sambe eigenvalues in (-omega/2,
     omega/2], one per state; RuntimeError unless there are `blockdim`.  For
-    B they are +-sigma for each singular value sigma < omega/2: an
-    eigensolve of B^T B for its d/2 + 1 smallest eigenvalues counts them
-    (exactly, if the last lies above (omega/2)^2; else a values-only count
-    of the zone precedes the error) and gives the right vectors V, and a
-    thin SVD of B V (Rayleigh-Ritz) gives sigma to eps * ||B||, which the
-    squared eigenvalues lose near 0.  Its left vectors B v / sigma err by
+    B they are +-sigma for each singular value sigma < omega/2.  One
+    reduction T = Q^T B^T B Q (dsytrd) and all of T's eigenvalues lambda
+    (dsterf) count them exactly, and sigma = sqrt(lambda) errs by at most
+    eps * ||B||^2 / sigma (`_SIGMA_TOL`).  Right vectors V are computed
+    only for the zero and pi windows and where that bound exceeds
+    _SIGMA_TOL: inverse iteration on T, mapped back by Q
+    (`_tridiagonal_vectors`).  A thin SVD of B V (Rayleigh-Ritz) gives
+    their sigma to eps * ||B||, which the squared eigenvalues lose near 0;
+    the other sigma stay sqrt(lambda).  Its left vectors B v / sigma err by
     eps * ||B||^2 / sigma, so in the zero window they span B^-T V instead,
     from one LU of B (`_zero_window_left`), and are paired with V by an
     SVD of the small block L^T B V.  Elsewhere B v / sigma stays: it errs
@@ -285,7 +319,7 @@ def quasienergy_spectrum(
     B = sambe.matrix
     if B.ndim == 2:
         # scipy.linalg costs ~0.1 s to import; only real-space solves pay it
-        from scipy.linalg import eigh, svd
+        from scipy.linalg import eigh, eigvalsh_tridiagonal, lapack, svd
         from scipy.linalg.blas import dgemm, dsyrk
     try:
         if B.ndim > 2:
@@ -305,28 +339,40 @@ def quasienergy_spectrum(
             held = evals.size
         else:
             # scipy's BLAS only (module docstring).  B.T is Fortran-ordered,
-            # no copy; dsyrk fills the lower triangle of B^T B that eigh reads
-            last = min(d // 2, len(B) - 1)
-            lam, V = eigh(dsyrk(1.0, B.T, lower=1), overwrite_a=True,
-                          subset_by_index=(0, last))
+            # no copy; dsyrk fills the lower triangle of B^T B, which dsytrd
+            # reduces in place to T = Q^T B^T B Q
+            n, h = len(B), d // 2
+            a, diag, off, tau, _ = lapack.dsytrd(
+                dsyrk(1.0, B.T, lower=1), lower=1, overwrite_a=1,
+                lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
+            lam = eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
             held = 2 * np.count_nonzero(lam <= (w / 2) ** 2)
-            if held > d:
-                # every state asked for is in the zone: count them all
-                held = 2 * eigh(dsyrk(1.0, B.T, lower=1), eigvals_only=True,
-                                subset_by_value=(-1.0, (w / 2) ** 2)).size
             if held == d:
-                U, sigma, Zt = svd(dgemm(1.0, B.T, V[:, :d // 2], trans_a=1),
+                sigma = np.sqrt(np.maximum(lam[:h], 0.0))
+                pi_d = circular_distance([sigma, -sigma], w / 2, w).min(axis=0)
+                sel = np.flatnonzero((sigma <= tol_zero) | (pi_d <= tol_pi) | (
+                    sigma * _SIGMA_TOL < np.finfo(float).eps * lam[-1]))
+                col = np.full(h, -1)                # column of U, V per sigma
+                col[sel] = np.arange(sel.size)[::-1]   # SVD order: descending
+                if sel.size:
+                    V = _tridiagonal_vectors(a, tau, diag, off, lam[sel])
+                    del a                               # before the LU of B
+                    U, s, Zt = svd(dgemm(1.0, B.T, V, trans_a=1),
                                    full_matrices=False, overwrite_a=True)
-                V = dgemm(1.0, V[:, :d // 2], Zt, trans_b=1)
-                n0 = int(np.count_nonzero(sigma <= tol_zero))
-                if n0:
-                    # two-sided Rayleigh-Ritz on the zero window's subspaces
-                    L = _zero_window_left(B, V[:, -n0:])
-                    Y, sigma[-n0:], Wt = svd(dgemm(1.0, dgemm(1.0, B.T, L),
+                    V = dgemm(1.0, V, Zt, trans_b=1)
+                    n0 = int(np.count_nonzero(s <= tol_zero))
+                    if n0:
+                        # two-sided Rayleigh-Ritz on the zero window's subspaces
+                        L = _zero_window_left(B, V[:, -n0:])
+                        Y, s[-n0:], Wt = svd(dgemm(1.0, dgemm(1.0, B.T, L),
                                                    V[:, -n0:], trans_a=1))
-                    U[:, -n0:] = dgemm(1.0, L, Y)
-                    V[:, -n0:] = dgemm(1.0, V[:, -n0:], Wt, trans_b=1)
-                evals = np.concatenate([-sigma, sigma[::-1]])
+                        U[:, -n0:] = dgemm(1.0, L, Y)
+                        V[:, -n0:] = dgemm(1.0, V[:, -n0:], Wt, trans_b=1)
+                    # a refined sigma may pass a neighbour within its bound
+                    sigma[sel] = s[::-1]
+                    order = np.argsort(sigma, kind="stable")
+                    sigma, col = sigma[order], col[order]
+                evals = np.concatenate([-sigma[::-1], sigma])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Sambe eigensolver failed: {exc}") from exc
     held = np.atleast_1d(held)
@@ -345,7 +391,7 @@ def quasienergy_spectrum(
         if sambe.mirror is None:
             comp = evecs[:, i].reshape(2 * M + 1, d)
         else:
-            j = min(i, d - 1 - i)                  # singular pair of +-sigma_j
+            j = col[max(i - d // 2, d // 2 - 1 - i)]   # pair of +-sigma
             u, v = U[:, j], (1 if i >= d // 2 else -1) * V[:, j]
             comp = np.empty((2 * M + 1, d))
             comp[:, 0::2] = ((u + v) / 2).reshape(2 * M + 1, d // 2)

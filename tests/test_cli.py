@@ -311,6 +311,13 @@ def test_ptcheck_outputs(tmp_path):
     lines = (out / "ptcheck_residuals.csv").read_text().splitlines()
     assert lines[0] == "order,residual"
     assert "slope" in res.stdout
+    # every field is a plain number, with no numpy scalar repr
+    scaling = (out / "ptcheck_scaling.csv").read_text().splitlines()
+    assert scaling[0] == "lambda,abs_error" and len(scaling) == 4
+    for line in scaling[1:] + lines[1:]:
+        for field in line.split(","):
+            assert "np." not in field
+            float(field)
 
 
 WINDOW = 0.8

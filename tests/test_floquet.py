@@ -351,6 +351,170 @@ def test_half_size_zone_count_is_exact(sigma, blockdim, held):
         quasienergy_spectrum(sm)
 
 
+def _seeded_problem(kind, n, M):
+    """A lattice of 2n x 2n sites with every parameter drawn +-5 % (key
+    [n, M]), or the Kitaev chain of n sites."""
+    if kind == "chain":
+        return kitaev_chain_bdg(n, 1.3, 0.9, 0.7, 1.1)
+    base = fig_s1_params(Nx=n, Ny=n)
+    draw = np.random.default_rng([n, M])
+    names = ("Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
+             "mu0", "dmu0", "mu1", "dmu1")
+    return lattice.build_realspace_bdg(lattice.LatticeParams(
+        Nx=n, Ny=n, **{k: getattr(base, k) * (1.0 + 0.05 * draw.uniform(-1, 1))
+                       for k in names}))
+
+
+@pytest.fixture()
+def dstein_calls(monkeypatch):
+    """The eigenvalues handed to each dstein call of the half-size solve."""
+    from scipy.linalg import lapack
+
+    calls, dstein = [], lapack.dstein
+
+    def recording(d, e, w, *args):
+        calls.append(np.array(w))
+        return dstein(d, e, w, *args)
+
+    monkeypatch.setattr(lapack, "dstein", recording)
+    return calls
+
+
+def _singular_pair(comp, mirror):
+    """(u, v) of a raw half-size mode: the site-basis components taken back
+    to the real basis, (u + v)/2 on the particles of harmonic n and
+    (u - v)/2 on the holes of -n; B v = eps u and B^T u = eps v."""
+    real = (comp - 1j * mirror.sign * comp[:, mirror.perm]) / np.sqrt(2.0)
+    assert np.abs(real.imag).max() <= 1e-14
+    p, q = real.real[:, 0::2].ravel(), real.real[::-1, 1::2].ravel()
+    return p + q, p - q
+
+
+@pytest.mark.parametrize("kind, n, M", [
+    ("lattice", 4, 4), ("lattice", 5, 4), ("lattice", 6, 4),
+    ("lattice", 4, 6), ("lattice", 5, 6), ("lattice", 6, 6),
+    ("chain", 40, 5), ("chain", 41, 5)])
+def test_half_size_solve_against_oracles(kind, n, M, raw_vectors,
+                                         dstein_calls):
+    import scipy.linalg
+
+    bdg = _seeded_problem(kind, n, M)
+    sm = assemble_sambe(bdg, M)
+    tols = {"tol_zero": 5e-2, "tol_pi": 5e-2}
+    spec = quasienergy_spectrum(sm, **tols)
+    counts = spec.counts()
+    assert counts["zero"] > 0 and counts["pi"] > 0
+    eps = spec.quasienergies
+    assert np.array_equal(eps, -eps[::-1])
+    h = eps.size // 2
+    sigma = eps[h:]
+    sv = scipy.linalg.svdvals(sm.matrix)
+    ref = sv[::-1][:h]
+    bound = np.finfo(float).eps * sv[0] ** 2 / ref
+    # vectors only for the windows and where sqrt(lambda) may err by more
+    # than 1e-12; those sigma come from Rayleigh-Ritz
+    near = ((ref <= tols["tol_zero"]) | (W / 2 - ref <= tols["tol_pi"])
+            | (bound > 1e-12))
+    assert [w.size for w in dstein_calls] == [np.count_nonzero(near)]
+    assert np.count_nonzero(near) <= 16
+    err = np.abs(sigma - ref)
+    assert err.max() <= 1e-12
+    # the rest are sqrt(lambda), within the stated bound eps ||B||^2 / sigma
+    assert np.all(err[~near] <= bound[~near])
+
+    for mode in spec.modes:
+        comp, k = raw_vectors[id(mode.components)]
+        u, v = _singular_pair(comp, sm.mirror)
+        lam = mode.quasienergy - k * W
+        assert np.linalg.norm(sm.matrix @ v - lam * u) <= 1e-12
+        assert np.linalg.norm(sm.matrix.T @ u - lam * v) <= 1e-12
+    if kind == "lattice" and (n > 5 or M > 4):
+        return                  # the complex solve is too large to run here
+    site = _site_sambe(bdg, M)
+    for mode in spec.modes:
+        comp, k = raw_vectors[id(mode.components)]
+        x = comp.ravel()
+        lam = mode.quasienergy - k * W
+        assert np.linalg.norm(site @ x - lam * x) <= 1e-12
+    cplx = quasienergy_spectrum(assemble_sambe(
+        DrivenBdG(bdg.harmonics, bdg.omega), M), **tols)
+    assert cplx.counts() == counts
+    half, full = _cluster_projectors(spec), _cluster_projectors(cplx)
+    for s in ("zero", "pi"):
+        assert np.abs(half[s] - full[s]).max() <= 1e-10
+
+
+def _diagonal_sambe(sigma, blockdim):
+    return floquet.SambeMatrix(m_cutoff=1, blockdim=blockdim, omega=W,
+                               matrix=np.diag(sigma),
+                               mirror=lattice.x_mirror(blockdim // 2, 1))
+
+
+def test_half_size_solve_without_selected_states(dstein_calls):
+    # every sigma lies between eps ||B||^2 / 1e-12 ~ 0.011 and the pi window
+    spec = quasienergy_spectrum(_diagonal_sambe([1.0, 1.5, 4, 5, 6, 7], 4))
+    assert dstein_calls == [] and spec.modes == []
+    assert np.abs(spec.quasienergies - [-1.5, -1.0, 1.0, 1.5]).max() <= 1e-15
+    assert spec.gaps == (1.0, W / 2 - 1.5)
+
+
+def test_half_size_solve_with_every_state_selected(raw_vectors, dstein_calls):
+    import scipy.linalg
+
+    sm = assemble_sambe(lattice.build_realspace_bdg(fig_s1_params(2, 2)), 4)
+    # windows of W/4 hold every state
+    spec = quasienergy_spectrum(sm, tol_zero=W / 4, tol_pi=W / 4)
+    h = sm.blockdim // 2
+    assert [w.size for w in dstein_calls] == [h]
+    assert len(spec.modes) == sm.blockdim
+    ref = np.sort(scipy.linalg.svdvals(sm.matrix))[:h]
+    assert np.abs(spec.quasienergies[h:] - ref).max() <= 1e-12
+    for mode in spec.modes:
+        comp, k = raw_vectors[id(mode.components)]
+        u, v = _singular_pair(comp, sm.mirror)
+        lam = mode.quasienergy - k * W
+        assert np.linalg.norm(sm.matrix @ v - lam * u) <= 1e-12
+        assert np.linalg.norm(sm.matrix.T @ u - lam * v) <= 1e-12
+
+
+def test_half_size_solve_of_split_tridiagonal(raw_vectors):
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    # two decoupled blocks: B^T B is block-diagonal, so its tridiagonal
+    # form splits exactly where the first block ends
+    M = 3
+    blocks = [assemble_sambe(kitaev_chain_bdg(n, 1.3, 0.9, 0.7, 1.1), M).matrix
+              for n in (6, 7)]
+    B = scipy.linalg.block_diag(*blocks)
+    off = lapack.dsytrd(B.T @ B, lower=1)[2]
+    assert off[len(blocks[0]) - 1] == 0.0 and np.all(off[:len(blocks[0]) - 1])
+    sm = floquet.SambeMatrix(m_cutoff=M, blockdim=2 * 13, omega=W, matrix=B,
+                             mirror=lattice.x_mirror(13, 1))
+    spec = quasienergy_spectrum(sm, tol_zero=W / 4, tol_pi=W / 4)
+    ref = np.sort(scipy.linalg.svdvals(B))[:13]
+    assert np.abs(spec.quasienergies[13:] - ref).max() <= 1e-12
+    assert len(spec.modes) == 26
+    for mode in spec.modes:
+        comp, k = raw_vectors[id(mode.components)]
+        u, v = _singular_pair(comp, sm.mirror)
+        lam = mode.quasienergy - k * W
+        assert np.linalg.norm(B @ v - lam * u) <= 1e-12
+        assert np.linalg.norm(B.T @ u - lam * v) <= 1e-12
+
+
+def test_dstein_failure_raises(monkeypatch):
+    from scipy.linalg import lapack
+
+    def failing(d, e, w, *args):
+        return np.zeros((d.size, w.size)), 1
+
+    monkeypatch.setattr(lapack, "dstein", failing)
+    sm = assemble_sambe(lattice.build_realspace_bdg(fig_s1_params(2, 2)), 4)
+    with pytest.raises(RuntimeError, match=r"dstein\) failed for 1 of"):
+        quasienergy_spectrum(sm, tol_zero=5e-2, tol_pi=5e-2)
+
+
 def test_cutoff_3_counts_on_seeded_lattices():
     # At M = 3 a pi mode splits its weight about evenly between two
     # harmonics, so which replica carries the most weight at n = 0 is
