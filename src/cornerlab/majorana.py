@@ -310,37 +310,41 @@ def measure(
 ) -> MeasureResult:
     """Born-rule measurement of a Hermitian +-1 parity string.
 
-    Exactly one of `rng` (sample mode) and `force` (condition on an outcome)
-    must be given.  Forcing an outcome with probability < 1e-14 raises
-    `ImpossibleOutcome`.  P(+1) = (1 + Re<psi|S psi>)/2 from one overlap
-    (a FockState has unit norm); the post-state psi +- S psi is divided by
-    its exact norm sqrt(<post|post>), not by 2 sqrt(p), whose relative
-    error eps/p would break the unit norm of a branch with p ~ 1e-10.
+    Exactly one of `rng` (sample mode: one `rng.random()` against
+    P(+1) = (1 + Re<psi|S psi>)/2) and `force` (condition on an outcome)
+    must be given.  Then one overlap <post|post> = 4 P(outcome) of the
+    post-state psi +- S psi (a FockState has unit norm) gives both the
+    probability, to eps relative even when p ~ 1e-10, and the exact norm
+    it is divided by.  Forcing p < 1e-14 raises `ImpossibleOutcome`.
     """
     perm, coeff = _parity_form(parity)
     if (rng is None) == (force is None):
         raise ValueError("pass exactly one of rng= or force=")
     psi = state.amplitudes
-    p_psi = coeff * psi[perm]
-    p_plus = min(max((1 + float(np.vdot(psi, p_psi).real)) / 2, 0.0), 1.0)
-    if force is not None:
-        if force not in (+1, -1):
-            raise ValueError(f"forced outcome must be +-1, got {force}")
+    post = coeff * psi[perm]                # S psi, made psi +- S psi in place
+    if force is None:
+        outcome = 1 if 2 * rng.random() < 1 + np.vdot(psi, post).real else -1
+    elif force in (+1, -1):
         outcome = force
     else:
-        outcome = 1 if rng.random() < p_plus else -1
-    prob = p_plus if outcome == 1 else 1 - p_plus
+        raise ValueError(f"forced outcome must be +-1, got {force}")
+    if outcome == 1:
+        post += psi
+    else:
+        np.subtract(psi, post, out=post)
+    norm_sq = float(np.vdot(post, post).real)
+    prob = min(norm_sq / 4, 1.0)
     if force is not None and prob < 1e-14:
         raise ImpossibleOutcome(
             f"incompatible forced outcome {force:+d} for {parity!r} "
             f"(probability {prob:.3e})"
         )
-    post = psi + p_psi if outcome == 1 else psi - p_psi
-    norm = math.sqrt(np.vdot(post, post).real)
+    norm = math.sqrt(norm_sq)
     if not 0 < norm < math.inf:            # also rejects nan
         raise ValueError(f"post-measurement norm {norm} is not finite and positive")
+    post /= norm
     out = FockState.__new__(FockState)     # unit norm by construction: no checks
-    out.amplitudes = post / norm
+    out.amplitudes = post
     return MeasureResult(outcome, out, prob)
 
 

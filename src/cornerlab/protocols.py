@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ RETRY_CAP = 64
 
 X3 = pauli("x", 3)                       # i g04 gp4
 Z3 = pauli("z", 3)                       # g01 g02 g03 g04
+_Z3_DIAGONAL = apply(Z3, np.ones(mj.DIM)).real    # Z3 is diagonal (see majorana)
 XZ = {  # sigma_x^(j) sigma_z^(3) as a two-Majorana string (even sector)
     1: string(1j, [g("0", 2), g("0", 4)]),
     2: string(1j, [g("pi", 2), g("pi", 4)]),
@@ -75,8 +77,7 @@ ZY = {  # the phase-gate middle measurement
 }
 
 
-@dataclass(frozen=True)
-class ProtocolStep:
+class ProtocolStep(NamedTuple):
     parity: MajoranaString
     outcome: int
     probability: float
@@ -350,20 +351,17 @@ def logical_fidelity(
 
     The input's logical content (qubits 1, 2) is read off at the input
     ancilla configuration; the output's at the ancilla eigenstate the run
-    ends in.  Both 4-vectors are compared after applying the target.
+    ends in, read as sum |psi_i|^2 diag(Z3)_i.  Both 4-vectors are compared
+    after applying the target.
     """
-    dec_in = decode_logical(state_in)
-    # collapse the ancilla index: input may have the ancilla in superposition
-    psi_in = dec_in.reshape(4, 2)
-    dec_out = decode_logical(run.state)
-    anc = mj.expectation(run.state, pauli("z", 3))
+    out = run.state.amplitudes
+    anc = np.vdot(out, _Z3_DIAGONAL * out).real
     if abs(abs(anc) - 1) > 1e-9:
         raise ValueError("run did not end with the ancilla in a z eigenstate")
-    b3 = 0 if anc > 0 else 1
-    phi = dec_out.reshape(4, 2)[:, b3]
-    # target acts on the logical pair for any ancilla branch;
+    phi = decode_logical(run.state).reshape(4, 2)[:, 0 if anc > 0 else 1]
+    # target acts on the logical pair for any input ancilla branch; the
     # overlap maximized over the ancilla branch phases is the sum in quadrature
-    tgt = target @ psi_in
+    tgt = target @ decode_logical(state_in).reshape(4, 2)
     overlaps = phi.conj() @ tgt
     den = np.vdot(phi, phi).real * np.vdot(tgt, tgt).real
     if den < 1e-28:                        # |phi| |tgt| < 1e-14
@@ -391,10 +389,12 @@ def enumerate_branches(
     report the minimum logical fidelity over reachable branches.
 
     Zero-probability branches (forced projector annihilates the state,
-    p < 1e-14) are skipped.  In `measured` correction mode an rng drives
-    the free outcomes inside the correction sub-protocols.  The table
-    counts as covered when every correction row that some outcome string
-    selects was applied (at top level) in at least one reachable run.
+    p < 1e-14) are skipped.  In `measured` correction mode one generator,
+    seeded by one `rng.integers(2**63)` draw (`default_rng(0)` without an
+    rng), drives the correction sub-protocols of every branch in turn; the
+    `classical` mode draws nothing.  The table counts as covered when every
+    correction row that some outcome string selects was applied (at top
+    level) in at least one reachable run.
     """
     gate = _gate(protocol)
     all_signs = list(itertools.product((1, -1), repeat=len(gate.steps)))
@@ -402,13 +402,12 @@ def enumerate_branches(
     probs: dict[tuple[int, ...], float] = {}
     reachable = 0
     applied = set()
+    sub_rng = None
+    if correction_mode == "measured":
+        sub_rng = np.random.default_rng(
+            rng.integers(2**63) if rng is not None else 0)
     for signs in all_signs:
         for state in inputs:
-            if correction_mode == "measured":
-                sub_rng = np.random.default_rng(
-                    rng.integers(2**63) if rng is not None else 0)
-            else:
-                sub_rng = None
             try:
                 run = run_protocol(protocol, state, rng=sub_rng,
                                    forced=list(signs),

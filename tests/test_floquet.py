@@ -535,6 +535,37 @@ def test_cutoff_3_counts_on_seeded_lattices():
         assert spec.quasienergies.size == 200
 
 
+def test_returned_modes_solve_the_floquet_equation():
+    # the modes as returned, after the replica shift of the pi modes to
+    # +omega/2, on a +-5 % 10x10 point at M = 4 drawn as in the benchmark's
+    # corner-mode solves.  Only interior harmonics are held to the bound: a
+    # shifted mode loses its outermost harmonic to the cutoff and is
+    # renormalized, so its residual at n = +-M is a truncation error (up to
+    # about 7e-3 at this cutoff), not a solver error.
+    base = fig_s1_params(Nx=5, Ny=5)
+    draw = np.random.default_rng([1, 0])
+    names = ("Jx", "Jy", "dJ", "Dx", "Dy", "dDy",
+             "mu0", "dmu0", "mu1", "dmu1")
+    p = lattice.LatticeParams(Nx=5, Ny=5, **{
+        n: getattr(base, n) * (1.0 + 0.05 * draw.uniform(-1, 1)) for n in names})
+    bdg = lattice.build_realspace_bdg(p)
+    M = 4
+    spec = quasienergy_spectrum(assemble_sambe(bdg, M), tol_zero=2e-2,
+                                tol_pi=2e-2)
+    assert spec.counts() == {"zero": 4, "pi": 4}
+    scale = max(np.linalg.norm(h, 2) for h in bdg.harmonics.values())
+    for mode in spec.modes:
+        c, eps = mode.components, mode.quasienergy
+        if mode.species == "pi":
+            assert abs(eps - W / 2) < 2e-2
+        for n in range(-M + 1, M):
+            acc = (n * W - eps) * c[n + M]
+            for k, h in bdg.harmonics.items():
+                if abs(n - k) <= M:
+                    acc = acc + h @ c[n - k + M]
+            assert np.linalg.norm(acc) <= 1e-9 * scale, (mode.species, n)
+
+
 def _grid_bdg(p, paired=True):
     """The Bloch stack over `momentum_grid`; `paired` gives it the partner
     map, as `cornerlab spectrum` does."""
@@ -579,6 +610,37 @@ def test_bloch_spectrum_matches_realspace(size, M):
             m.quasienergy for m in real.modes_of(s))
         assert np.allclose(bloch.window_quasienergies(s),
                            real.window_quasienergies(s), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 4])
+def test_complex_assembly_matches_block_loop(M, rng):
+    # the scattered blocks against one slice per (n, m) block: a Bloch stack
+    # (one block per partner pair) and a toy with harmonics up to +-2
+    p = fig_s1_params(Nx=2, Ny=2, boundary="periodic-both")
+    d = 5
+    h = {k: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+         for k in (1, 2)}
+    h0 = rng.normal(size=(d, d))
+    toy = {0: h0 + h0.T + 0j, **h, **{-k: v.conj().T for k, v in h.items()}}
+    cases = [(_grid_bdg(p), 1), (DrivenBdG(toy, W), 2)]
+    for bdg, reach in cases:
+        if reach > 2 * M:
+            with pytest.raises(ValueError, match="cutoff M too small"):
+                assemble_sambe(bdg, M)
+            continue
+        harmonics = bdg.harmonics
+        if bdg.partner is not None:
+            keep = np.arange(bdg.partner.size) <= bdg.partner
+            harmonics = {k: v[keep] for k, v in harmonics.items()}
+        e = bdg.dim
+        want = np.zeros(harmonics[0].shape[:-2] + ((2 * M + 1) * e,) * 2,
+                        dtype=complex)
+        for n in range(-M, M + 1):
+            for m in range(-M, M + 1):
+                block = want[..., (n + M) * e:(n + M + 1) * e,
+                             (m + M) * e:(m + M + 1) * e]
+                block += harmonics.get(n - m, 0) + n * W * (n == m) * np.eye(e)
+        assert np.array_equal(assemble_sambe(bdg, M).matrix, want)
 
 
 def test_bloch_cutoff_too_small_raises():

@@ -345,3 +345,123 @@ def test_decode_and_fidelity_match_per_basis_reference():
                     assert abs(logical_fidelity(state, run, target)
                                - _fidelity_by_norms(state, run, target)) < 1e-14
     assert n_runs > 200
+
+
+def _replay_enumeration(pid, inputs, child):
+    """Top-level run logs of a measured-mode enumeration, written out: every
+    reachable (outcome string, input) in order, all drawing from `child`."""
+    logs = []
+    for signs in itertools.product((1, -1), repeat=len(GATES[pid].steps)):
+        for state in inputs:
+            try:
+                run = run_protocol(pid, state, rng=child, forced=list(signs),
+                                   correction_mode="measured")
+            except mj.ImpossibleOutcome:
+                continue
+            logs.append(run.log())
+    return logs
+
+
+@pytest.mark.parametrize("pid", ["hadamard1", "cnot", "tgate2"])
+def test_measured_enumeration_draws_one_child_generator(pid, monkeypatch):
+    inputs = random_logical_inputs(pid, 3, np.random.default_rng(5))
+    logs = []
+    inner = pt.run_protocol
+
+    def spy(*args, **kwargs):
+        run = inner(*args, **kwargs)
+        logs.append(run.log())
+        return run
+
+    def enumerate_logged(seed):
+        logs.clear()
+        rng = None if seed is None else np.random.default_rng(seed)
+        rep = enumerate_branches(pid, inputs, "measured", rng=rng)
+        if rng is not None:
+            # the caller's generator advances by exactly one integers draw
+            copy = np.random.default_rng(seed)
+            copy.integers(2**63)
+            assert rng.bit_generator.state == copy.bit_generator.state
+        return rep, list(logs)
+
+    monkeypatch.setattr(pt, "run_protocol", spy)
+    rep8, logs8 = enumerate_logged(8)
+    rep0, logs0 = enumerate_logged(None)
+    # equal seeds (or no rng at all) give identical reports and runs
+    assert enumerate_logged(8) == (rep8, logs8)
+    assert enumerate_logged(None) == (rep0, logs0)
+    assert enumerate_logged(9)[1] != logs8    # the seed reaches the corrections
+    monkeypatch.undo()
+    assert rep8.min_fidelity >= 1 - 1e-12 and rep8.covered
+    # every branch's corrections draw, in turn, from one child generator
+    # seeded by that draw, or by default_rng(0) without an rng
+    child = np.random.default_rng(np.random.default_rng(8).integers(2**63))
+    assert _replay_enumeration(pid, inputs, child) == logs8
+    assert _replay_enumeration(pid, inputs, np.random.default_rng(0)) == logs0
+
+
+def test_measured_enumeration_draws_once_without_reachable_runs():
+    rng, copy = np.random.default_rng(4), np.random.default_rng(4)
+    rep = enumerate_branches("cnot", [], "measured", rng=rng)
+    assert rep.n_reachable == 0
+    copy.integers(2**63)
+    assert rng.bit_generator.state == copy.bit_generator.state
+    # classical mode samples nothing, so it leaves the caller's rng alone
+    state = random_logical_inputs("cnot", 1, np.random.default_rng(6))
+    enumerate_branches("cnot", state, "classical", rng=rng)
+    assert rng.bit_generator.state == copy.bit_generator.state
+
+
+def _fidelity_by_projection(state_in, run, target):
+    """Fidelity from dense matrices: the output projected on its ancilla
+    eigenspace by (1 +- Z3)/2 from `to_matrix`, against the target applied
+    to the decoded input, re-encoded at the output's ancilla value."""
+    z3 = mj.to_matrix(pauli("z", 3))
+    out = run.state.amplitudes
+    anc = np.vdot(out, z3 @ out).real
+    sign = 1 if anc > 0 else -1
+    proj = (out + sign * z3 @ out) / 2
+    b3 = [1, 0] if sign > 0 else [0, 1]
+    basis = {bits: encode_logical(np.eye(2)[bits[0]], np.eye(2)[bits[1]],
+                                  b3).amplitudes
+             for bits in itertools.product((0, 1), repeat=2)}
+    dec_in = mj.decode_logical(state_in)
+    overlap_sq, want_sq = 0.0, 0.0
+    for j in (0, 1):                        # the input's ancilla branches
+        tgt = target @ dec_in[:, :, j].reshape(4)
+        want = sum(tgt[2 * a + b] * basis[a, b] for a, b in basis)
+        overlap_sq += abs(np.vdot(proj, want)) ** 2
+        want_sq += np.vdot(want, want).real
+    den = np.vdot(proj, proj).real * want_sq
+    return 0.0 if den < 1e-28 else float(np.sqrt(overlap_sq / den))
+
+
+def test_logical_fidelity_matches_projected_reference():
+    rng = np.random.default_rng(21)
+    wrong = np.linalg.qr(rng.normal(size=(4, 4))
+                         + 1j * rng.normal(size=(4, 4)))[0]
+    ancillas = set()
+    for pid in PROTOCOL_IDS:
+        for state in random_logical_inputs(pid, 2, rng):
+            runs = [run_protocol(pid, state, rng=rng)]
+            for signs in itertools.product((1, -1), repeat=len(GATES[pid].steps)):
+                try:
+                    runs.append(run_protocol(pid, state, forced=list(signs),
+                                             correction_mode="classical"))
+                except mj.ImpossibleOutcome:
+                    pass
+            for run in runs:
+                ancillas.add(round(expectation(run.state, pauli("z", 3))))
+                for target in (GATES[pid].target, wrong, 0.3 * wrong @ wrong):
+                    assert abs(logical_fidelity(state, run, target)
+                               - _fidelity_by_projection(state, run, target)
+                               ) < 1e-12
+    assert ancillas == {1, -1}
+
+
+def test_logical_fidelity_rejects_ancilla_superposition(rng):
+    state = random_logical_inputs("hadamard1", 1, rng)[0]
+    run = run_protocol("hadamard1", state, rng=rng)
+    run.state = encode_logical([1, 0], [0, 1], np.array([1, 1j]) / np.sqrt(2))
+    with pytest.raises(ValueError, match="ancilla in a z eigenstate"):
+        logical_fidelity(state, run, GATES["hadamard1"].target)
