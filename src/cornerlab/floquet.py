@@ -183,34 +183,31 @@ def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
         raise ValueError(f"need M >= 0, got {M}")
     if bdg.max_harmonic > 2 * M:
         raise ValueError("cutoff M too small for the harmonic content")
-    nb = 2 * M + 1
+    # (sign s, offset c, block): block (n, m) with m = s * n + c gets `block`
     if bdg.mirror is None:
-        e = bdg.dim
+        e, dtype = bdg.dim, complex
         harmonics = bdg.harmonics
         if bdg.partner is not None:
             _check_particle_hole(harmonics, bdg.partner)
             keep = np.arange(bdg.partner.size) <= bdg.partner
             harmonics = {k: h[keep] for k, h in harmonics.items()}
-        H = np.zeros(next(iter(harmonics.values())).shape[:-2] + (nb * e,) * 2,
-                     dtype=complex)
-        # harmonic k alone fills the blocks (n, n - k): one scatter each
-        blocks = H.reshape(H.shape[:-2] + (nb, e, nb, e))
-        for k, h in harmonics.items():
-            rows = [r for r in range(nb) if 0 <= r - k < nb]
-            blocks[..., rows, :, [r - k for r in rows], :] = h
+        terms = [(1, -k, h) for k, h in harmonics.items()]
     else:
         real = {k: bdg.mirror.to_real(h, k) for k, h in bdg.harmonics.items()}
         _check_particle_hole(real)
-        e = bdg.dim // 2
-        H = np.zeros((nb * e, nb * e))
-        # harmonic k's Toeplitz blocks (n, n - k) and Hankel blocks (n, k - n)
-        # overlap, so they are added, by slices (faster than a scatter here)
-        for k, h in real.items():
-            for s, block in ((1, h[0::2, 0::2]), (-1, -h[0::2, 1::2])):
-                for n in range(-M, M + 1):
-                    if abs(n - k) <= M:
-                        m = s * (n - k) + M
-                        H[(n + M) * e:(n + M + 1) * e, m * e:(m + 1) * e] += block
+        e, dtype = bdg.dim // 2, float
+        terms = [t for k, h in real.items()
+                 for t in ((1, -k, h[0::2, 0::2]), (-1, k, -h[0::2, 1::2]))]
+    nb = 2 * M + 1
+    H = np.zeros(terms[0][2].shape[:-2] + (nb * e,) * 2, dtype=dtype)
+    # one scatter per term into the [..., n, :, m, :] view: a term's blocks
+    # are distinct, so `+=` adds each once (the mirror's Toeplitz and Hankel
+    # terms overlap, and add in turn)
+    blocks = H.reshape(H.shape[:-2] + (nb, e, nb, e))
+    for s, c, block in terms:
+        n = np.arange(-M, M + 1)
+        n = n[np.abs(s * n + c) <= M]
+        blocks[..., n + M, :, s * n + c + M, :] += block
     diag = np.arange(nb * e)
     H[..., diag, diag] += np.repeat(np.arange(-M, M + 1) * bdg.omega, e)
     return SambeMatrix(m_cutoff=M, blockdim=bdg.dim, omega=bdg.omega,

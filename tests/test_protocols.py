@@ -320,11 +320,35 @@ def _fidelity_by_norms(state_in, run, target):
     return 0.0 if den < 1e-14 else float(np.linalg.norm(phi.conj() @ tgt) / den)
 
 
+def _fidelity_by_projection(state_in, run, target):
+    """Fidelity from dense matrices: the output projected on its ancilla
+    eigenspace by (1 +- Z3)/2 from `to_matrix`, against the target applied
+    to the decoded input, re-encoded at the output's ancilla value."""
+    z3 = mj.to_matrix(pauli("z", 3))
+    out = run.state.amplitudes
+    anc = np.vdot(out, z3 @ out).real
+    sign = 1 if anc > 0 else -1
+    proj = (out + sign * z3 @ out) / 2
+    b3 = [1, 0] if sign > 0 else [0, 1]
+    basis = {bits: encode_logical(np.eye(2)[bits[0]], np.eye(2)[bits[1]],
+                                  b3).amplitudes
+             for bits in itertools.product((0, 1), repeat=2)}
+    dec_in = mj.decode_logical(state_in)
+    overlap_sq, want_sq = 0.0, 0.0
+    for j in (0, 1):                        # the input's ancilla branches
+        tgt = target @ dec_in[:, :, j].reshape(4)
+        want = sum(tgt[2 * a + b] * basis[a, b] for a, b in basis)
+        overlap_sq += abs(np.vdot(proj, want)) ** 2
+        want_sq += np.vdot(want, want).real
+    den = np.vdot(proj, proj).real * want_sq
+    return 0.0 if den < 1e-28 else float(np.sqrt(overlap_sq / den))
+
+
 def test_decode_and_fidelity_match_per_basis_reference():
     rng = np.random.default_rng(16)
     wrong = np.linalg.qr(rng.normal(size=(4, 4))
                          + 1j * rng.normal(size=(4, 4)))[0]
-    n_runs = 0
+    n_runs, ancillas = 0, set()
     for pid in PROTOCOL_IDS:
         for state in random_logical_inputs(pid, 2, rng):
             assert np.abs(mj.decode_logical(state)
@@ -341,10 +365,13 @@ def test_decode_and_fidelity_match_per_basis_reference():
                 n_runs += 1
                 assert np.abs(mj.decode_logical(run.state)
                               - _decode_by_vdot(run.state)).max() < 1e-14
+                ancillas.add(round(expectation(run.state, pauli("z", 3))))
                 for target in (GATES[pid].target, wrong, np.zeros((4, 4))):
-                    assert abs(logical_fidelity(state, run, target)
-                               - _fidelity_by_norms(state, run, target)) < 1e-14
-    assert n_runs > 200
+                    fid = logical_fidelity(state, run, target)
+                    assert abs(fid - _fidelity_by_norms(state, run, target)) < 1e-14
+                    assert abs(fid - _fidelity_by_projection(state, run, target)
+                               ) < 1e-12
+    assert n_runs > 200 and ancillas == {1, -1}
 
 
 def _replay_enumeration(pid, inputs, child):
@@ -410,53 +437,6 @@ def test_measured_enumeration_draws_once_without_reachable_runs():
     state = random_logical_inputs("cnot", 1, np.random.default_rng(6))
     enumerate_branches("cnot", state, "classical", rng=rng)
     assert rng.bit_generator.state == copy.bit_generator.state
-
-
-def _fidelity_by_projection(state_in, run, target):
-    """Fidelity from dense matrices: the output projected on its ancilla
-    eigenspace by (1 +- Z3)/2 from `to_matrix`, against the target applied
-    to the decoded input, re-encoded at the output's ancilla value."""
-    z3 = mj.to_matrix(pauli("z", 3))
-    out = run.state.amplitudes
-    anc = np.vdot(out, z3 @ out).real
-    sign = 1 if anc > 0 else -1
-    proj = (out + sign * z3 @ out) / 2
-    b3 = [1, 0] if sign > 0 else [0, 1]
-    basis = {bits: encode_logical(np.eye(2)[bits[0]], np.eye(2)[bits[1]],
-                                  b3).amplitudes
-             for bits in itertools.product((0, 1), repeat=2)}
-    dec_in = mj.decode_logical(state_in)
-    overlap_sq, want_sq = 0.0, 0.0
-    for j in (0, 1):                        # the input's ancilla branches
-        tgt = target @ dec_in[:, :, j].reshape(4)
-        want = sum(tgt[2 * a + b] * basis[a, b] for a, b in basis)
-        overlap_sq += abs(np.vdot(proj, want)) ** 2
-        want_sq += np.vdot(want, want).real
-    den = np.vdot(proj, proj).real * want_sq
-    return 0.0 if den < 1e-28 else float(np.sqrt(overlap_sq / den))
-
-
-def test_logical_fidelity_matches_projected_reference():
-    rng = np.random.default_rng(21)
-    wrong = np.linalg.qr(rng.normal(size=(4, 4))
-                         + 1j * rng.normal(size=(4, 4)))[0]
-    ancillas = set()
-    for pid in PROTOCOL_IDS:
-        for state in random_logical_inputs(pid, 2, rng):
-            runs = [run_protocol(pid, state, rng=rng)]
-            for signs in itertools.product((1, -1), repeat=len(GATES[pid].steps)):
-                try:
-                    runs.append(run_protocol(pid, state, forced=list(signs),
-                                             correction_mode="classical"))
-                except mj.ImpossibleOutcome:
-                    pass
-            for run in runs:
-                ancillas.add(round(expectation(run.state, pauli("z", 3))))
-                for target in (GATES[pid].target, wrong, 0.3 * wrong @ wrong):
-                    assert abs(logical_fidelity(state, run, target)
-                               - _fidelity_by_projection(state, run, target)
-                               ) < 1e-12
-    assert ancillas == {1, -1}
 
 
 def test_logical_fidelity_rejects_ancilla_superposition(rng):
