@@ -198,17 +198,15 @@ def assemble_sambe(bdg: DrivenBdG, M: int) -> SambeMatrix:
         e, dtype = bdg.dim // 2, float
         terms = [t for k, h in real.items()
                  for t in ((1, -k, h[0::2, 0::2]), (-1, k, -h[0::2, 1::2]))]
-    nb = 2 * M + 1
-    H = np.zeros(terms[0][2].shape[:-2] + (nb * e,) * 2, dtype=dtype)
-    # one scatter per term into the [..., n, :, m, :] view: a term's blocks
-    # are distinct, so `+=` adds each once (the mirror's Toeplitz and Hankel
-    # terms overlap, and add in turn)
-    blocks = H.reshape(H.shape[:-2] + (nb, e, nb, e))
+    D = (2 * M + 1) * e
+    H = np.zeros(terms[0][2].shape[:-2] + (D, D), dtype=dtype)
     for s, c, block in terms:
-        n = np.arange(-M, M + 1)
-        n = n[np.abs(s * n + c) <= M]
-        blocks[..., n + M, :, s * n + c + M, :] += block
-    diag = np.arange(nb * e)
+        for n in range(-M, M + 1):
+            m = s * n + c
+            if abs(m) <= M:
+                H[..., (n + M) * e:(n + M + 1) * e,
+                  (m + M) * e:(m + M + 1) * e] += block
+    diag = np.arange(D)
     H[..., diag, diag] += np.repeat(np.arange(-M, M + 1) * bdg.omega, e)
     return SambeMatrix(m_cutoff=M, blockdim=bdg.dim, omega=bdg.omega,
                        matrix=H, mirror=bdg.mirror, partner=bdg.partner)

@@ -612,37 +612,6 @@ def test_bloch_spectrum_matches_realspace(size, M):
                            real.window_quasienergies(s), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("M", [0, 1, 2, 4])
-def test_complex_assembly_matches_block_loop(M, rng):
-    # the scattered blocks against one slice per (n, m) block: a Bloch stack
-    # (one block per partner pair) and a toy with harmonics up to +-2
-    p = fig_s1_params(Nx=2, Ny=2, boundary="periodic-both")
-    d = 5
-    h = {k: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-         for k in (1, 2)}
-    h0 = rng.normal(size=(d, d))
-    toy = {0: h0 + h0.T + 0j, **h, **{-k: v.conj().T for k, v in h.items()}}
-    cases = [(_grid_bdg(p), 1), (DrivenBdG(toy, W), 2)]
-    for bdg, reach in cases:
-        if reach > 2 * M:
-            with pytest.raises(ValueError, match="cutoff M too small"):
-                assemble_sambe(bdg, M)
-            continue
-        harmonics = bdg.harmonics
-        if bdg.partner is not None:
-            keep = np.arange(bdg.partner.size) <= bdg.partner
-            harmonics = {k: v[keep] for k, v in harmonics.items()}
-        e = bdg.dim
-        want = np.zeros(harmonics[0].shape[:-2] + ((2 * M + 1) * e,) * 2,
-                        dtype=complex)
-        for n in range(-M, M + 1):
-            for m in range(-M, M + 1):
-                block = want[..., (n + M) * e:(n + M + 1) * e,
-                             (m + M) * e:(m + M + 1) * e]
-                block += harmonics.get(n - m, 0) + n * W * (n == m) * np.eye(e)
-        assert np.array_equal(assemble_sambe(bdg, M).matrix, want)
-
-
 def test_bloch_cutoff_too_small_raises():
     # a drive of 8 needs more than one harmonic: some k-block's zone is
     # short of its 4 states, and so is the real-space zone
