@@ -10,7 +10,11 @@ workload and seed on both sides form a pair.  For each end-to-end metric
 the record lists every run per seed, the quartiles [q1, median, q3]
 (linear interpolation), the ratio of the medians (change over parent) and
 the number of pairs in which the change reads lower; every perfbench
-metric is better lower.  Every traced run of a side is pooled: each
+metric is better lower.  Beside each ratio it records the median gain
+(parent median minus change median) and the parent's interquartile spread
+(q3 - q1); the printed table marks with "*" each metric whose median gain
+exceeds that spread, one half of the rule for claiming a gain (the other
+is the change reading lower in nine of ten pairs).  Every traced run of a side is pooled: each
 per-layer value is recorded as the median and [min, max] over those runs,
 with the ratio of the medians (change over parent).  The runs'
 environment gives the machine record.
@@ -123,6 +127,9 @@ def pool(parent, change):
             for k in p if statistics.median(p[k])}
         entry["change_wins"] = {k: sum(b < a for a, b in zip(p[k], c[k]))
                                 for k in p}
+        qp, qc = entry["parent"]["quartiles"], entry["change"]["quartiles"]
+        entry["median_gain"] = {k: round(qp[k][1] - qc[k][1], 4) for k in p}
+        entry["parent_iqr"] = {k: round(qp[k][2] - qp[k][0], 4) for k in p}
         tp, tc = entry["parent"]["traced"], entry["change"]["traced"]
         entry["traced_change_over_parent"] = {
             k: round(tc[k]["median"] / tp[k]["median"], 4)
@@ -180,9 +187,13 @@ def main(argv=None):
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for label, table in tables:
         for name, entry in table.items():
+            gain, iqr = entry["median_gain"], entry["parent_iqr"]
             print(f"{label + name:18s} pairs {entry['pairs']:2d}  " + "  ".join(
                 f"{k} {r:.3f} ({entry['change_wins'][k]})"
+                + ("*" if gain[k] > iqr[k] else "")
                 for k, r in entry["change_over_parent"].items()))
+    print("ratio change/parent of the medians (pairs the change reads lower); "
+          "* median gain > the parent's interquartile spread")
     return 0
 
 

@@ -302,32 +302,15 @@ class MeasureResult:
     probability: float
 
 
-def measure(
-    state: FockState,
-    parity: MajoranaString,
-    rng: np.random.Generator | None = None,
-    force: int | None = None,
-) -> MeasureResult:
-    """Born-rule measurement of a Hermitian +-1 parity string.
-
-    Exactly one of `rng` (sample mode: one `rng.random()` against
-    P(+1) = (1 + Re<psi|S psi>)/2) and `force` (condition on an outcome)
-    must be given.  Then one overlap <post|post> = 4 P(outcome) of the
-    post-state psi +- S psi (a FockState has unit norm) gives both the
-    probability, to eps relative even when p ~ 1e-10, and the exact norm
-    it is divided by.  Forcing p < 1e-14 raises `ImpossibleOutcome`.
-    """
-    perm, coeff = _parity_form(parity)
-    if (rng is None) == (force is None):
-        raise ValueError("pass exactly one of rng= or force=")
-    psi = state.amplitudes
+def _measure_amplitudes(psi, perm, coeff, rng, force, parity):
+    """The kernel of `measure` and the protocol executor on raw amplitudes
+    and the (perm, coeff) form of the Hermitian `parity`: the outcome drawn
+    or forced (+-1, unchecked), the unit post-state and its probability."""
     post = coeff * psi[perm]                # S psi, made psi +- S psi in place
     if force is None:
         outcome = 1 if 2 * rng.random() < 1 + np.vdot(psi, post).real else -1
-    elif force in (+1, -1):
-        outcome = force
     else:
-        raise ValueError(f"forced outcome must be +-1, got {force}")
+        outcome = force
     if outcome == 1:
         post += psi
     else:
@@ -343,9 +326,40 @@ def measure(
     if not 0 < norm < math.inf:            # also rejects nan
         raise ValueError(f"post-measurement norm {norm} is not finite and positive")
     post /= norm
-    out = FockState.__new__(FockState)     # unit norm by construction: no checks
-    out.amplitudes = post
-    return MeasureResult(outcome, out, prob)
+    return outcome, post, prob
+
+
+def _unit_state(amplitudes: np.ndarray) -> FockState:
+    """FockState around amplitudes of unit norm by construction: no checks."""
+    out = FockState.__new__(FockState)
+    out.amplitudes = amplitudes
+    return out
+
+
+def measure(
+    state: FockState,
+    parity: MajoranaString,
+    rng: np.random.Generator | None = None,
+    force: int | None = None,
+) -> MeasureResult:
+    """Born-rule measurement of a Hermitian +-1 parity string.
+
+    Exactly one of `rng` (sample mode: one `rng.random()` against
+    P(+1) = (1 + Re<psi|S psi>)/2) and `force` (condition on an outcome)
+    must be given.  Then one overlap <post|post> = 4 P(outcome) of the
+    post-state psi +- S psi (a FockState has unit norm) gives both the
+    probability, to eps relative even when p ~ 1e-10, and the exact norm
+    it is divided by.  Forcing p < 1e-14 raises `ImpossibleOutcome`.  The
+    protocol executor calls the same kernel, `_measure_amplitudes`.
+    """
+    perm, coeff = _parity_form(parity)
+    if (rng is None) == (force is None):
+        raise ValueError("pass exactly one of rng= or force=")
+    if force is not None and force not in (+1, -1):
+        raise ValueError(f"forced outcome must be +-1, got {force}")
+    outcome, post, prob = _measure_amplitudes(state.amplitudes, perm, coeff,
+                                              rng, force, parity)
+    return MeasureResult(outcome, _unit_state(post), prob)
 
 
 # --- text form of parity strings (external interface) ----------------------

@@ -42,10 +42,8 @@ from cornerlab.majorana import (
     ImpossibleOutcome,
     MajoranaString,
     apply,
-    decode_logical,
     encode_logical,
     g,
-    measure,
     pauli,
     string,
 )
@@ -53,6 +51,7 @@ from cornerlab.majorana import (
 RETRY_CAP = 64
 
 X3 = pauli("x", 3)                       # i g04 gp4
+_X3_FORM = mj._parity_form(X3)
 Z3 = pauli("z", 3)                       # g01 g02 g03 g04
 _Z3_DIAGONAL = apply(Z3, np.ones(mj.DIM)).real    # Z3 is diagonal (see majorana)
 XZ = {  # sigma_x^(j) sigma_z^(3) as a two-Majorana string (even sector)
@@ -130,6 +129,10 @@ class Gate:
     table: dict[tuple[int, ...], tuple[str, ...]]
     until_flip: bool = False
     ancilla: tuple | np.ndarray = (1.0, 0.0)    # qubit-3 input amplitudes
+    forms: tuple = field(init=False, repr=False)  # (perm, coeff) per step
+
+    def __post_init__(self):
+        object.__setattr__(self, "forms", tuple(map(mj._parity_form, self.steps)))
 
     def corrections(self, outcomes) -> tuple[str, ...]:
         return self.table[tuple([math.prod([outcomes[i] for i in idx])
@@ -194,56 +197,63 @@ def _gate(protocol: str) -> Gate:
 
 
 class _Executor:
-    """Fills one ProtocolRun: measurements, forced loops, corrections."""
+    """Fills one ProtocolRun on raw amplitudes (a FockState is wrapped only
+    for a measured correction and at the end): measurements, forced loops,
+    corrections."""
 
-    def __init__(self, protocol: str, state: FockState,
+    def __init__(self, protocol: str, gate: Gate, state: FockState,
                  rng: np.random.Generator | None, forced: list[int] | None,
                  correction_mode: str):
         if correction_mode not in ("measured", "classical"):
             raise ValueError(f"bad correction mode {correction_mode!r}")
         if forced is None and rng is None:
             raise ValueError("need an rng unless all outcomes are forced")
+        n = len(gate.steps)               # forced lists: checked before any draw
+        if forced is not None and len(forced) < n:
+            raise ValueError("forced outcome list exhausted")
+        if forced is not None and len(forced) > n:
+            raise ValueError(f"{len(forced) - n} forced outcomes left over "
+                             f"after the {n} steps of {protocol}")
+        for force in forced or ():
+            if force not in (+1, -1):
+                raise ValueError(f"forced outcome must be +-1, got {force}")
         self.rng = rng
         self.draw = rng if forced is None else None   # samples own outcomes
-        self.forced = list(forced) if forced is not None else None
         self.mode = correction_mode
-        self.run = ProtocolRun(protocol, state=state)
+        self.psi = state.amplitudes
+        self.run = ProtocolRun(protocol)
 
-    def measure_free(self, parity: MajoranaString) -> int:
+    def measure_free(self, parity: MajoranaString, form, force: int | None) -> int:
         """One measurement with a free outcome (sampled or forced)."""
-        force = None
-        if self.forced is not None:
-            if not self.forced:
-                raise ValueError("forced outcome list exhausted")
-            force = self.forced.pop(0)
-        res = measure(self.run.state, parity, rng=self.draw, force=force)
-        self.run.state = res.post_state
-        self.run.steps.append(ProtocolStep(parity, res.outcome, res.probability))
-        return res.outcome
+        outcome, self.psi, prob = mj._measure_amplitudes(
+            self.psi, *form, self.draw, force, parity)
+        self.run.steps.append(ProtocolStep(parity, outcome, prob))
+        return outcome
 
-    def measure_until_flip(self, pair_parity: MajoranaString, opening: int) -> int:
+    def measure_until_flip(self, pair_parity: MajoranaString, form,
+                           force: int | None, opening: int) -> int:
         """Forced-measurement loop: measure (pair_parity, x3) pairs until the
         x3 outcome differs from `opening`; returns the pair outcome of the
         final round.  A failed round restores the pre-round state exactly,
         so in forced mode only the succeeding round is taken.
         """
         run = self.run
+        closing = None if force is None else -opening
         retries = 0
         while True:
-            mid = self.measure_free(pair_parity)
-            force = -opening if self.forced is not None else None
-            res = measure(run.state, X3, rng=self.draw, force=force)
-            run.state = res.post_state
-            if res.outcome == -opening:
+            mid = self.measure_free(pair_parity, form, force)
+            outcome, self.psi, prob = mj._measure_amplitudes(
+                self.psi, *_X3_FORM, self.draw, closing, X3)
+            if outcome == -opening:
                 # the repeat-until-flip loop makes this outcome certain, so
                 # forced-branch bookkeeping records probability 1; sampled
                 # runs keep the actually drawn probability in their log
-                prob = 1.0 if force is not None else res.probability
-                run.steps.append(ProtocolStep(X3, res.outcome, prob, retries))
+                prob = 1.0 if closing is not None else prob
+                run.steps.append(ProtocolStep(X3, outcome, prob, retries))
                 run.total_retries += retries
                 return mid
             retries += 1
-            run.steps.append(ProtocolStep(X3, res.outcome, res.probability))
+            run.steps.append(ProtocolStep(X3, outcome, prob))
             if retries >= RETRY_CAP:
                 raise RuntimeError(
                     f"forced-measurement loop exceeded {RETRY_CAP} retries; "
@@ -258,19 +268,19 @@ class _Executor:
             return
         kind, qubit = name[0], int(name[1])
         if self.mode == "classical":
-            psi = run.state.amplitudes
+            psi = self.psi
             if kind == "p":
                 psi = (psi + apply(PHASE_PAIR[qubit], psi)) / np.sqrt(2)
             else:
                 psi = apply(pauli(kind, qubit), psi)
-            run.state = FockState(psi)
+            self.psi = FockState(psi).amplitudes      # checks the unit norm
             return
         # measured mode: corrections are measurement protocols themselves
         sub_id = f"phase{qubit}" if kind == "p" else f"pauli-{kind}{qubit}"
-        sub = _run(sub_id, run.state, self.rng, None, "measured")
+        sub = _run(sub_id, mj._unit_state(self.psi), self.rng, None, "measured")
         if run.own_steps is None:
             run.own_steps = len(run.steps)
-        run.state = sub.state
+        self.psi = sub.state.amplitudes
         run.steps.extend(sub.steps)
         run.corrections.extend(f"  {c}" for c in sub.corrections)
         run.total_retries += sub.total_retries
@@ -281,18 +291,17 @@ def _run(protocol: str, state: FockState, rng: np.random.Generator | None,
     """Measure the gate's steps (an until-flip gate loops on steps[1]),
     then apply the corrections its table picks."""
     gate = _gate(protocol)
-    ex = _Executor(protocol, state, rng, forced, correction_mode)
+    ex = _Executor(protocol, gate, state, rng, forced, correction_mode)
     outcomes = []
-    for i, parity in enumerate(gate.steps):
+    for i, (parity, form) in enumerate(zip(gate.steps, gate.forms)):
+        force = None if forced is None else forced[i]
         if gate.until_flip and i == 1:
-            outcomes.append(ex.measure_until_flip(parity, outcomes[0]))
+            outcomes.append(ex.measure_until_flip(parity, form, force, outcomes[0]))
         else:
-            outcomes.append(ex.measure_free(parity))
+            outcomes.append(ex.measure_free(parity, form, force))
     for name in gate.corrections(outcomes):
         ex.apply_correction(name)
-    if ex.forced:
-        raise ValueError(f"{len(ex.forced)} forced outcomes left over after "
-                         f"the {len(gate.steps)} steps of {protocol}")
+    ex.run.state = mj._unit_state(ex.psi)
     return ex.run
 
 
@@ -343,30 +352,31 @@ def free_outcome_count(protocol: str) -> int:
     return len(_gate(protocol).steps)
 
 
-def logical_fidelity(
-    state_in: FockState, run: ProtocolRun, target: np.ndarray
-) -> float:
-    """Global-phase-invariant fidelity of the run against the target gate
-    (a 4x4 on the logical pair, such as `GATES[pid].target`).
+def logical_fidelity(state_in: FockState, run: ProtocolRun, target: np.ndarray) -> float:
+    """Global-phase-invariant fidelity of the run against the target gate (a
+    4x4 on the logical pair, such as `GATES[pid].target`): one row of
+    `_fidelities`."""
+    return float(_fidelities(state_in.amplitudes[None], run.state.amplitudes[None],
+                             target)[0])
 
-    The input's logical content (qubits 1, 2) is read off at the input
-    ancilla configuration; the output's at the ancilla eigenstate the run
-    ends in, read as sum |psi_i|^2 diag(Z3)_i.  Both 4-vectors are compared
-    after applying the target.
-    """
-    out = run.state.amplitudes
-    anc = np.vdot(out, _Z3_DIAGONAL * out).real
-    if abs(abs(anc) - 1) > 1e-9:
+
+def _fidelities(inputs: np.ndarray, outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Fidelity of each row of stacked (n, 16) input and output amplitudes: the
+    input's logical content (qubits 1, 2) is read off at the input ancilla
+    configuration, the output's at the ancilla eigenstate the run ends in (sum
+    |psi_i|^2 diag(Z3)_i), and both are compared after applying the target;
+    a row with |phi| |tgt| < 1e-14 reads 0."""
+    anc = (outputs.real ** 2 + outputs.imag ** 2) @ _Z3_DIAGONAL
+    if np.any(np.abs(np.abs(anc) - 1) > 1e-9):
         raise ValueError("run did not end with the ancilla in a z eigenstate")
-    phi = decode_logical(run.state).reshape(4, 2)[:, 0 if anc > 0 else 1]
+    out = (outputs @ mj._DECODE_ROWS.T).reshape(-1, 4, 2)
+    phi = np.where((anc > 0)[:, None], out[:, :, 0], out[:, :, 1])
     # target acts on the logical pair for any input ancilla branch; the
     # overlap maximized over the ancilla branch phases is the sum in quadrature
-    tgt = target @ decode_logical(state_in).reshape(4, 2)
-    overlaps = phi.conj() @ tgt
-    den = np.vdot(phi, phi).real * np.vdot(tgt, tgt).real
-    if den < 1e-28:                        # |phi| |tgt| < 1e-14
-        return 0.0
-    return math.sqrt(np.vdot(overlaps, overlaps).real / den)
+    tgt = target @ (inputs @ mj._DECODE_ROWS.T).reshape(-1, 4, 2)
+    num = (abs(np.einsum("ni,nij->nj", phi.conj(), tgt)) ** 2).sum(1)
+    den = (abs(phi) ** 2).sum(1) * (abs(tgt) ** 2).sum((1, 2))
+    return np.sqrt(np.divide(num, den, out=np.zeros_like(num), where=den >= 1e-28))
 
 
 @dataclass
@@ -398,9 +408,8 @@ def enumerate_branches(
     """
     gate = _gate(protocol)
     all_signs = list(itertools.product((1, -1), repeat=len(gate.steps)))
-    worst = 1.0
     probs: dict[tuple[int, ...], float] = {}
-    reachable = 0
+    rows = []                                   # (input, output) amplitudes
     applied = set()
     sub_rng = None
     if correction_mode == "measured":
@@ -414,16 +423,16 @@ def enumerate_branches(
                                    correction_mode=correction_mode)
             except ImpossibleOutcome:
                 continue
-            reachable += 1
             probs[signs] = probs.get(signs, 0.0) + run.branch_probability
-            worst = min(worst, logical_fidelity(state, run, gate.target))
+            rows.append((state.amplitudes, run.state.amplitudes))
             applied.add(tuple(c for c in run.corrections
                               if not c.startswith(" ")))
+    rows = np.reshape(rows, (-1, 2, mj.DIM))
     return BranchReport(
         protocol=protocol,
         n_branches=len(all_signs),
-        n_reachable=reachable,
-        min_fidelity=worst,
+        n_reachable=len(rows),
+        min_fidelity=float(_fidelities(rows[:, 0], rows[:, 1], gate.target).min(initial=1.0)),
         branch_probabilities=probs,
         covered={gate.corrections(s) for s in all_signs} <= applied,
     )

@@ -443,7 +443,7 @@ def test_readout_script_leaves_no_temp_files(tmp_path, monkeypatch):
     assert list(scratch.iterdir()) == []
 
 
-def test_pool_bench_pairs_runs_of_both_sides(tmp_path):
+def test_pool_bench_pairs_runs_of_both_sides(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location(
         "pool_bench", ROOT / "scripts" / "pool_bench.py")
     script = importlib.util.module_from_spec(spec)
@@ -492,3 +492,18 @@ def test_pool_bench_pairs_runs_of_both_sides(tmp_path):
     assert aa["pairs"] == 3 and aa["change_wins"] == {"op_p50_s": 2}
     assert aa["change"]["runs"] == {"op_p50_s": [1.1, 1.1, 0.8]}
     assert aa["change_over_parent"] == {"op_p50_s": 1.1}
+    # the median gain beside the parent's interquartile spread, marked in
+    # the table only where it exceeds that spread
+    assert w["median_gain"] == {"op_p50_s": 0.1}
+    assert w["parent_iqr"] == {"op_p50_s": 0.15}
+    assert aa["median_gain"] == {"op_p50_s": -0.1}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].endswith("op_p50_s 0.900 (2)")      # no mark: 0.1 < 0.15
+    for seed, b in enumerate([0.5, 0.6, 0.55], 1):
+        write("change", seed, 0, b)
+    assert script.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                        "--out", str(out)]) == 0
+    w = json.loads(out.read_text())["workloads"]["w"]
+    assert w["median_gain"] == {"op_p50_s": 0.45} and w["change_wins"] == {
+        "op_p50_s": 3}
+    assert "op_p50_s 0.550 (3)*" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,62 @@ def test_overlong_forced_list_raises(rng):
                        match="3 forced outcomes left over after the 3 steps"):
         run_phase(state, 1, forced=[1, 1, 1, -1, -1, -1],
                   correction_mode="classical")
+
+
+@pytest.mark.parametrize("forced, message", [
+    ([1, 1], "forced outcome list exhausted"),
+    # a z1 correction row: the measured correction would sample first
+    ([1, 1, -1, 1], "1 forced outcomes left over after the 3 steps of phase1"),
+    ([1, 1, 0], "forced outcome must be \\+-1, got 0"),
+])
+def test_forced_list_checked_before_any_draw(forced, message):
+    state = random_logical_inputs("phase1", 1, np.random.default_rng(2))[0]
+    rng, copy = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(ValueError, match=message):
+        run_phase(state, 1, forced=forced, rng=rng, correction_mode="measured")
+    assert rng.bit_generator.state == copy.bit_generator.state
+
+
+def _chain_public_measurements(pid, state, signs):
+    """A classical-mode forced run written with public `measure` calls:
+    (step probabilities, output amplitudes)."""
+    gate = GATES[pid]
+    probs = []
+    for i, (parity, sign) in enumerate(zip(gate.steps, signs)):
+        res = mj.measure(state, parity, force=sign)
+        state = res.post_state
+        probs.append(res.probability)
+        if gate.until_flip and i == 1:      # the closing x3 flips step 0
+            state = mj.measure(state, pt.X3, force=-signs[0]).post_state
+            probs.append(1.0)
+    psi = state.amplitudes
+    for name in gate.corrections(signs):
+        if name != "1":
+            kind, q = name[0], int(name[1])
+            psi = ((psi + mj.apply(pt.PHASE_PAIR[q], psi)) / np.sqrt(2)
+                   if kind == "p" else mj.apply(pauli(kind, q), psi))
+    return probs, psi
+
+
+def test_executor_and_measure_share_one_kernel():
+    rng = np.random.default_rng(12)
+    for pid in PROTOCOL_IDS:
+        state = random_logical_inputs(pid, 1, rng)[0]
+        reached = 0
+        for signs in itertools.product((1, -1), repeat=len(GATES[pid].steps)):
+            try:
+                probs, psi = _chain_public_measurements(pid, state, signs)
+            except mj.ImpossibleOutcome:
+                with pytest.raises(mj.ImpossibleOutcome):
+                    run_protocol(pid, state, forced=list(signs),
+                                 correction_mode="classical")
+                continue
+            reached += 1
+            run = run_protocol(pid, state, forced=list(signs),
+                               correction_mode="classical")
+            assert [s.probability for s in run.steps] == probs, (pid, signs)
+            assert run.state.amplitudes.tobytes() == psi.tobytes(), (pid, signs)
+        assert reached > 0, pid
 
 
 @pytest.mark.parametrize("pid", ["hadamard1", "cnot", "tgate2"])
@@ -445,3 +502,42 @@ def test_logical_fidelity_rejects_ancilla_superposition(rng):
     run.state = encode_logical([1, 0], [0, 1], np.array([1, 1j]) / np.sqrt(2))
     with pytest.raises(ValueError, match="ancilla in a z eigenstate"):
         logical_fidelity(state, run, GATES["hadamard1"].target)
+
+
+@pytest.mark.parametrize("mode", ["classical", "measured"])
+def test_vectorised_fidelity_matches_per_run(mode, monkeypatch):
+    rng = np.random.default_rng(21)
+    records = []
+    inner = pt.run_protocol
+
+    def spy(protocol, state, *args, **kwargs):
+        run = inner(protocol, state, *args, **kwargs)
+        records.append((state, run))
+        return run
+
+    monkeypatch.setattr(pt, "run_protocol", spy)
+    for pid in PROTOCOL_IDS:
+        target = GATES[pid].target
+        records.clear()
+        rep = enumerate_branches(pid, random_logical_inputs(pid, 3, rng),
+                                 correction_mode=mode, rng=rng)
+        assert len(records) == rep.n_reachable > 0
+        per_run = [logical_fidelity(s, run, target) for s, run in records]
+        assert abs(rep.min_fidelity - min(per_run)) <= 1e-15, pid
+        ins = np.array([s.amplitudes for s, _ in records])
+        outs = np.array([run.state.amplitudes for _, run in records])
+        fids = pt._fidelities(ins, outs, target)
+        reference = [_fidelity_by_projection(s, run, target) for s, run in records]
+        assert np.abs(fids - reference).max() < 1e-12, pid
+        # one run ending in an ancilla superposition fails the whole batch
+        bad = outs.copy()
+        bad[-1] = encode_logical([1, 0], [0, 1],
+                                 np.array([1, 1j]) / np.sqrt(2)).amplitudes
+        with pytest.raises(ValueError, match="ancilla in a z eigenstate"):
+            pt._fidelities(ins, bad, target)
+        # a row with a zero denominator reads 0.0 and leaves the others alone
+        ins[0] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeroed = pt._fidelities(ins, outs, target)
+        assert zeroed[0] == 0.0 and np.array_equal(zeroed[1:], fids[1:]), pid
