@@ -2,8 +2,9 @@
 
 Every gate is a short sequence of two- or four-Majorana parity
 measurements followed by an outcome-dependent Pauli/phase correction,
-listed once in the GATES table and run by one executor.  Corrections can
-themselves be executed as forced-measurement protocols (faithful mode)
+listed once in the GATES table and run by one executor on raw amplitudes,
+through the measurement kernel that `majorana.measure` wraps.  Corrections
+can themselves be executed as forced-measurement protocols (faithful mode)
 or applied directly to the state (classical mode); both paths implement
 the same logical operator.
 
