@@ -439,14 +439,9 @@ def kitaev_chain_bdg(
 ) -> DrivenBdG:
     """Driven Kitaev chain BdG: hopping -J, pairing Delta, on-site
     mu(t) = mu0 + mu1 cos(omega t), open ends; dim = 2*n_sites."""
-    T0 = np.zeros((n_sites, n_sites), dtype=complex)
-    P0 = np.zeros((n_sites, n_sites), dtype=complex)
-    for x in range(n_sites):
-        T0[x, x] = mu0
-        if x + 1 < n_sites:
-            T0[x + 1, x] = T0[x, x + 1] = -J
-            P0[x + 1, x] = Delta
-            P0[x, x + 1] = -Delta
+    up = np.eye(n_sites, k=1, dtype=complex)          # bonds (x, x + 1)
+    T0 = mu0 * np.eye(n_sites, dtype=complex) - J * (up + up.T)
+    P0 = Delta * (up.T - up)
     h0 = _bdg_from_blocks(T0, P0)
     h1 = _bdg_from_blocks((mu1 / 2.0) * np.eye(n_sites, dtype=complex),
                           np.zeros_like(P0))

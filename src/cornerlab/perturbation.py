@@ -6,17 +6,19 @@ Three layers:
    Sambe space: the quasi-degenerate effective block (Van Vleck form)
    through third order.  It tolerates first-order internal structure, and
    on a one-state cluster it is the textbook nondegenerate series with
-   time-averaged inner products.
+   time-averaged inner products.  Solves and Van Vleck terms run block by
+   block over the components of the problem's nonzero pattern.
 
 2. Lead-Majorana effective couplings: the co-tunneling amplitudes
    T^(00), T^(pipi), T^(0pi) between two single-level leads mediated by a
    nonlocal fermion, and the four-lead third-order amplitude h1234; plus
    exact toy Fock models (leads x Majoranas x a 3-state particle-number
-   register) used as oracles for both.
+   register, its operators filled in place without kron) used as oracles
+   for both.
 
 3. The harmonically-driven mode expansion: nested-commutator construction
    of zero and pi Majorana operators order by order in 1/omega, with the
-   Sambe-norm residual history.
+   Sambe-norm residual history; pi seeds solve one eig per component.
 
 Conventions: couplings are Fourier components on the omega/2 grid,
 lambda(t) = sum_n lam[n] * exp(i n omega t / 2); eps_plus/eps_minus are
@@ -163,32 +165,48 @@ def effective_hamiltonian(
             + lam^3 [ (PVRVRVP + h.c.)/2 - {PVRRVP, PVP}/2 ],
     with R = Q/(E0 - H0) and E0 the cluster center.  Exact cluster
     degeneracy is assumed; first-order internal elements are allowed.
-    Its eigenvalues reproduce the quasienergies through `order`.
+    Its eigenvalues reproduce the quasienergies through `order`.  V is
+    block-diagonal over the problem's blocks, so every term is built from
+    the blocks' s x s pieces, one batched product per block size.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    cluster = np.asarray(cluster, dtype=int)
     eps = problem.eps0
-    V = problem.v_matrix
+    d = eps.size
+    cluster = np.asarray(cluster, dtype=int)
+    if (cluster.ndim != 1 or cluster.size == 0 or cluster.min() < 0
+            or cluster.max() >= d or np.unique(cluster).size != cluster.size):
+        raise ValueError(f"cluster must list distinct states in 0..{d - 1}, "
+                         f"got {cluster.tolist()}")
     center = float(eps[cluster].mean())
     if np.abs(eps[cluster] - center).max() > DEGENERACY_TOL:
         raise ValueError(f"cluster is not degenerate within {DEGENERACY_TOL:g}")
-    outside = np.nonzero(np.abs(eps - center) > DEGENERACY_TOL)[0]
     lam = problem.lam
+    # per state: its position in the cluster (-1 if not in it) and R's weight
+    pos = np.full(d, -1)
+    pos[cluster] = np.arange(cluster.size)
+    r = np.divide(1.0, center - eps, out=np.zeros(d),
+                  where=np.abs(eps - center) > DEGENERACY_TOL)
 
-    pvp = V[np.ix_(cluster, cluster)]
-    heff = np.diag(eps[cluster]).astype(complex) + lam * pvp
-    if order >= 2:
-        vout = V[np.ix_(cluster, outside)]
-        r1 = 1.0 / (center - eps[outside])
-        heff = heff + lam**2 * (vout * r1) @ vout.conj().T
-    if order >= 3:
-        mid = V[np.ix_(outside, outside)]
-        a = (vout * r1) @ mid @ (vout * r1).conj().T
-        a = (a + a.conj().T) / 2
-        b = (vout * r1**2) @ vout.conj().T
-        heff = heff + lam**3 * (a - (pvp @ b + b @ pvp) / 2)
-    return (heff + heff.conj().T) / 2
+    heff = np.diag(eps[cluster]).astype(complex)
+    for c in problem._unperturbed[2]:
+        v = problem.v_matrix[c[:, :, None], c[:, None, :]]
+        inside = pos[c] >= 0
+        pair = inside[:, :, None] & inside[:, None, :]
+        pvp = v * pair
+        rc = r[c][:, None, :]
+        vr = v * rc
+        term = lam * pvp
+        if order >= 2:
+            vrv = vr @ v
+            term = term + lam**2 * vrv
+        if order >= 3:
+            a = vr @ vrv
+            b = (vr * rc) @ v
+            term = term + lam**3 * (a - (pvp @ b + b @ pvp) / 2)
+        k, i, j = np.nonzero(pair)
+        heff[pos[c][k, i], pos[c][k, j]] += term[k, i, j]
+    return (heff + heff.conj().T) / 2         # also the h.c. half of PVRVRVP
 
 
 # --------------------------------------------------------------------------
@@ -305,6 +323,26 @@ class ToyModel:
         return _block_eigh(self.harmonics[0])[:2]
 
 
+def _on_register(f: np.ndarray, lower: np.ndarray | None = None,
+                 diagonal: tuple | None = None) -> np.ndarray:
+    """f (x) 1 + lower (x) e^{-i phi} + h.c. + 1 (x) diag(`diagonal`) on
+    fermion space (x) the particle-number register, e^{-i phi} = |0><1| +
+    |1><2|: the np.kron sum, filled into a (dim_f, 3, dim_f, 3) view at the
+    register's nonzero entries."""
+    dim_f = f.shape[0]
+    out = np.zeros((dim_f, REGISTER_DIM, dim_f, REGISTER_DIM), dtype=complex)
+    for a in range(REGISTER_DIM):
+        out[:, a, :, a] = f
+    if lower is not None:
+        for a in range(REGISTER_DIM - 1):
+            out[:, a, :, a + 1] = lower
+            out[:, a + 1, :, a] = lower.conj().T
+    out = out.reshape(dim_f * REGISTER_DIM, dim_f * REGISTER_DIM)
+    if diagonal is not None:
+        out.reshape(-1)[::out.shape[0] + 1] += np.tile(diagonal, dim_f)
+    return out
+
+
 def _toy(n_leads: int, eps_plus: float, eps_minus: float,
          tunnel: list[tuple[int, int, complex]],
          links: list[tuple[int, int, complex]],
@@ -323,13 +361,7 @@ def _toy(n_leads: int, eps_plus: float, eps_minus: float,
     dim_f = 2**n_modes
     cs = fock.jw_annihilators(n_modes)
     gam = [g for k in range(n_leads, n_modes) for g in fock.majorana_pair(n_modes, k)]
-    h_charge = np.diag([-eps_minus, 0.0, -eps_plus]).astype(complex)
-    lower = np.zeros((REGISTER_DIM, REGISTER_DIM), dtype=complex)   # e^{-i phi}
-    lower[0, 1] = 1.0
-    lower[1, 2] = 1.0
-    ident_r = np.eye(REGISTER_DIM)
-
-    # fermion-space factors of the register operators lower and 1
+    # fermion-space factors of the register operators e^{-i phi} and 1
     f_lower = np.zeros((dim_f, dim_f), dtype=complex)
     for lead, k, amp in tunnel:
         f_lower += amp * (cs[lead].conj().T @ gam[k])
@@ -339,17 +371,12 @@ def _toy(n_leads: int, eps_plus: float, eps_minus: float,
     f_ident += f_ident.conj().T
     if onsite is not None:
         f_ident += onsite
-    hop = np.kron(f_lower, lower)
-    H = np.kron(np.eye(dim_f), h_charge) + np.kron(f_ident, ident_r) \
-        + hop + hop.conj().T
-
     n_leads_op = sum(fock.number_op(n_modes, k) for k in range(n_leads))
-    charge = np.kron(n_leads_op, ident_r) + np.kron(np.eye(dim_f),
-                                                    np.diag([0.0, 1.0, 2.0]))
     return ToyModel(
-        harmonics={0: H},
-        charge_op=charge,
-        parity_ops={name: np.kron(1j * gam[k] @ gam[l], ident_r)
+        harmonics={0: _on_register(f_ident, f_lower,
+                                   (-eps_minus, 0.0, -eps_plus))},
+        charge_op=_on_register(n_leads_op, diagonal=(0.0, 1.0, 2.0)),
+        parity_ops={name: _on_register(1j * gam[k] @ gam[l])
                     for name, (k, l) in parities.items()},
     )
 
@@ -484,7 +511,7 @@ def signed_splitting(params: TwoLeadParams, parity: int,
     t0 = T[0]
     phase = np.exp(1j * np.angle(t0)) if t0 != 0 else 1.0
     di, dj = fock.jw_annihilators(4)[:2]
-    hop = np.kron(dj.conj().T @ di, np.eye(REGISTER_DIM))
+    hop = _on_register(dj.conj().T @ di)
     p0 = toy.parity_ops["zero"]
     sector = [(e, float(np.real(np.conj(phase) * np.vdot(v, hop @ v))))
               for e, v in _cluster_states(toy, 0.45 * gap)
@@ -572,15 +599,17 @@ def quadratic_from_bdg(h: np.ndarray) -> np.ndarray:
     """Real antisymmetric A with H = (i/4) sum_ab A_ab gamma_a gamma_b for
     the BdG block h (Nambu-innermost), using gamma_{2x} = c_x + c_x^dag,
     gamma_{2x+1} = i(c_x^dag - c_x)."""
-    n = h.shape[0] // 2
-    s = np.zeros((2 * n, 2 * n), dtype=complex)
-    for x in range(n):
-        # particle row: c_x = (g_A + i g_B)/2 ; hole row: c_x^dag
-        s[2 * x, 2 * x] = 0.5
-        s[2 * x, 2 * x + 1] = 0.5j
-        s[2 * x + 1, 2 * x] = 0.5
-        s[2 * x + 1, 2 * x + 1] = -0.5j
-    b = s.conj().T @ h @ s
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
+        raise ValueError(f"BdG block must be square with an even size, "
+                         f"got shape {h.shape}")
+    # b = s^H h s with s = [[1, i], [1, -i]]/2 per site (particle row:
+    # c_x = (g_A + i g_B)/2, hole row: c_x^dag), rows first, then columns
+    m = np.empty(h.shape, dtype=complex)
+    m[0::2] = (h[0::2] + h[1::2]) / 2
+    m[1::2] = -1j * (h[0::2] - h[1::2]) / 2
+    b = np.empty(h.shape, dtype=complex)
+    b[:, 0::2] = (m[:, 0::2] + m[:, 1::2]) / 2
+    b[:, 1::2] = 1j * (m[:, 0::2] - m[:, 1::2]) / 2
     a = -1j * (b - b.T)
     if np.abs(a.imag).max() > 1e-10 * max(np.abs(a).max(), 1e-300):
         raise ValueError("BdG block did not map to a real antisymmetric form")
@@ -619,7 +648,18 @@ def pi_mode_seeds(a0: np.ndarray, a1: np.ndarray, omega: float,
     for the eigenpairs (mu, x) of X Y.  Raises when no block eigenvalue
     sits near omega/2."""
     x_op, y_op = -a0 + a1 / 2, a0 + a1 / 2
-    mu, xs = np.linalg.eig(x_op @ y_op)
+    xy = x_op @ y_op
+    # one batched eig per size of XY's components (real couplings make A0
+    # and A1 bipartite, so XY splits in two); xs holds them as columns
+    solved = [(rows, *np.linalg.eig(xy[rows[:, :, None], rows[:, None, :]]))
+              for rows in _blocks((xy != 0) | (xy.T != 0))]
+    mu = np.concatenate([m.ravel() for _, m, _ in solved])
+    xs = np.zeros(xy.shape, dtype=complex)
+    start = 0
+    for rows, m, v in solved:
+        c = start + np.arange(m.size).reshape(m.shape)
+        xs[rows[:, :, None], c[:, None, :]] = v
+        start += m.size
     w = np.sqrt(mu.astype(complex))          # the root that can near +omega/2
     sel = np.nonzero((np.abs(w.imag) < 1e-8)
                      & (np.abs(w.real - omega / 2) <= tol * omega))[0]
@@ -628,7 +668,7 @@ def pi_mode_seeds(a0: np.ndarray, a1: np.ndarray, omega: float,
             f"no pi-mode seed: no block eigenvalue within {tol * omega:.2e} "
             f"of omega/2 (kernel dimension 0)"
         )
-    sel = sel[np.argsort(np.abs(w[sel].real - omega / 2))]
+    sel = sel[np.argsort(np.abs(w[sel].real - omega / 2), kind="stable")]
     seeds = []
     for idx in sel:
         x = xs[:, idx].real
@@ -737,6 +777,9 @@ def majorana_mode_expansion(
     if species not in ("zero", "pi"):
         raise ValueError(f"species must be 'zero' or 'pi', got {species!r}")
     spec_a0, vecs_a0 = np.linalg.eigh(1j * a0)
+    # complex copies, once: numpy casts a real matrix on every product with
+    # a complex vector
+    a0c, a1c = a0.astype(complex), a1.astype(complex)
     if species == "zero":
         kick = np.linalg.norm(a0 @ seed)
         # max |eigenvalue| of the Hermitian i A0 is ||A0||_2
@@ -748,7 +791,7 @@ def majorana_mode_expansion(
             )
         comp = {0: np.array(seed, dtype=complex)}
     else:
-        lhs = 1j * (a0 @ seed) + 0.5j * (a1 @ seed.conj()) - (omega / 2) * seed
+        lhs = 1j * (a0c @ seed) + 0.5j * (a1c @ seed.conj()) - (omega / 2) * seed
         if np.linalg.norm(lhs) > seed_tol * omega:
             raise ValueError(
                 f"pi seed violates the omega/2 eigencondition by "
@@ -757,14 +800,14 @@ def majorana_mode_expansion(
         comp = {0: np.array(seed, dtype=complex),
                 1: np.array(seed.conj(), dtype=complex)}
 
-    res = _expansion_residual(comp, a0, a1, omega, species)
+    res = _expansion_residual(comp, a0c, a1c, omega, species)
     history = [_residual_norm(res)]
 
     for k in range(1, order + 1):
         if species == "pi" and k == 1 and first_order_pi_coeffs is not None:
             a_c, b_c = first_order_pi_coeffs
-            x = 1j * (a1 @ comp[0])        # [h1, gamma(seed)]
-            y = 1j * (a1 @ comp[1])        # [h1, gamma(seed^dag)]
+            x = 1j * (a1c @ comp[0])       # [h1, gamma(seed)]
+            y = 1j * (a1c @ comp[1])       # [h1, gamma(seed^dag)]
             comp[-1] = comp.get(-1, 0) + a_c * x / (2 * omega)
             comp[2] = comp.get(2, 0) + b_c * y / (2 * omega)
         else:
@@ -787,7 +830,7 @@ def majorana_mode_expansion(
                 delta = vecs_a0[:, keep] @ (
                     (vecs_a0[:, keep].conj().T @ (-r)) / shifted[keep])
                 comp[m] = comp.get(m, 0) + delta
-        res = _expansion_residual(comp, a0, a1, omega, species)
+        res = _expansion_residual(comp, a0c, a1c, omega, species)
         history.append(_residual_norm(res))
 
     return ModeExpansion(species=species, omega=omega, components=comp,

@@ -156,6 +156,26 @@ def test_adjoint_check_is_relative_and_builders_pass(boundary):
         DrivenBdG({0: bdg.component(0), 1: h1}, p.omega)
 
 
+def test_kitaev_chain_matches_loop_build():
+    for n, args in ((1, (0.7, 0.4, 0.3, 0.9)), (2, (1.0, 1.0, 0.0, 0.0)),
+                    (40, (0.3, 0.31, 0.05, 0.4)), (61, (1.2, 1.15, -1.0, 0.5))):
+        J, Delta, mu0, mu1 = args
+        T0 = np.zeros((n, n), dtype=complex)
+        P0 = np.zeros((n, n), dtype=complex)
+        for x in range(n):
+            T0[x, x] = mu0
+            if x + 1 < n:
+                T0[x + 1, x] = T0[x, x + 1] = -J
+                P0[x + 1, x] = Delta
+                P0[x, x + 1] = -Delta
+        bdg = kitaev_chain_bdg(n, *args)
+        h0 = np.asarray(bdg.component(0))
+        assert np.abs(h0 - lattice._bdg_from_blocks(T0, P0)).max() <= 1e-15
+        assert np.array_equal(np.asarray(bdg.component(1)),
+                              lattice._bdg_from_blocks(
+                                  mu1 / 2 * np.eye(n), np.zeros((n, n))))
+
+
 def test_sigma_eta_table_is_kron_and_read_only():
     # build_momentum_bdg reads the 16 products from one module-level table
     for s in "0xyz":

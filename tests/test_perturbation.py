@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import warnings
@@ -7,7 +8,7 @@ import pytest
 
 from cornerlab import fock
 from cornerlab import perturbation as pb
-from cornerlab.lattice import kitaev_chain_bdg
+from cornerlab.lattice import build_realspace_bdg, fig_s1_params, kitaev_chain_bdg
 from cornerlab.perturbation import (
     FourLeadParams,
     PerturbationProblem,
@@ -92,13 +93,33 @@ def test_random_driven_problem_second_order_slope():
 
 def _dense_problem(prob):
     """The same problem with the dense eigh basis and W^H V W preset: the
-    reference for the block solve."""
+    reference for the block solve (its effective block comes from
+    `_dense_effective`)."""
     ref = PerturbationProblem(prob.h0, prob.v, prob.omega, prob.m_cutoff,
                               prob.lam)
     eps, W = np.linalg.eigh(ref._h0_sambe)
     ref._unperturbed = (eps, W, None)
     ref.v_matrix = W.conj().T @ ref._v_sambe @ W
     return ref
+
+
+def _dense_effective(prob, cluster, order):
+    """The textbook Van Vleck block from the dense v_matrix: P(E0 + lam V)P
+    + lam^2 PVRVP + lam^3 [(PVRVRVP + h.c.)/2 - {PVRRVP, PVP}/2]."""
+    eps, V, lam = prob.eps0, prob.v_matrix, prob.lam
+    center = float(eps[cluster].mean())
+    outside = np.nonzero(np.abs(eps - center) > pb.DEGENERACY_TOL)[0]
+    pvp = V[np.ix_(cluster, cluster)]
+    heff = np.diag(eps[cluster]).astype(complex) + lam * pvp
+    vout = V[np.ix_(cluster, outside)]
+    r1 = 1.0 / (center - eps[outside])
+    if order >= 2:
+        heff = heff + lam**2 * (vout * r1) @ vout.conj().T
+    if order >= 3:
+        a = (vout * r1) @ V[np.ix_(outside, outside)] @ (vout * r1).conj().T
+        b = (vout * r1**2) @ vout.conj().T
+        heff = heff + lam**3 * ((a + a.conj().T) / 2 - (pvp @ b + b @ pvp) / 2)
+    return (heff + heff.conj().T) / 2
 
 
 def _toy_problems():
@@ -134,10 +155,17 @@ def test_block_solve_matches_dense_on_toys(toy):
                   - basis.conj().T @ prob._v_sambe @ basis).max() < 1e-12
     cl = prob.cluster_near(0.0, 1e-9)
     assert cl.size >= 2 and np.array_equal(cl, ref.cluster_near(0.0, 1e-9))
+    # the per-block Van Vleck series against the dense formula: entry by
+    # entry in the block basis, and by eigenvalue in the dense basis
+    shuffled = np.random.default_rng(toy).permutation(cl)
     for order in (1, 2, 3):
-        ev = np.linalg.eigvalsh(effective_hamiltonian(prob, cl, order))
-        ev_ref = np.linalg.eigvalsh(effective_hamiltonian(ref, cl, order))
-        assert np.abs(ev - ev_ref).max() < 1e-12, order
+        heff = effective_hamiltonian(prob, cl, order)
+        assert np.abs(heff - _dense_effective(prob, cl, order)).max() < 1e-12
+        ev_ref = np.linalg.eigvalsh(_dense_effective(ref, cl, order))
+        assert np.abs(np.linalg.eigvalsh(heff) - ev_ref).max() < 1e-12, order
+        # the block follows the cluster's order
+        assert np.abs(effective_hamiltonian(prob, shuffled, order)
+                      - _dense_effective(prob, shuffled, order)).max() < 1e-12
     # the toy's exact levels come from the same helper
     h = prob._h0_sambe + prob.lam * prob._v_sambe
     levels, vecs = pb.ToyModel({0: h}, h, {}).exact_levels()
@@ -233,6 +261,16 @@ def test_effective_matches_corrections_without_internal_structure():
         @ v[np.ix_(outside, inside)]
     ev = np.linalg.eigvalsh(effective_hamiltonian(prob, cl, order=2))
     assert np.abs(ev - np.linalg.eigvalsh(block)).max() < 1e-12
+
+
+def test_effective_rejects_bad_cluster():
+    prob = PerturbationProblem(
+        h0={0: np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex)},
+        v={0: np.ones((4, 4), dtype=complex)}, omega=W, m_cutoff=0)
+    for cluster in ([0, 0], [-1], [], [4], [[0, 1]]):
+        with pytest.raises(ValueError, match=r"distinct states in 0\.\.3"):
+            effective_hamiltonian(prob, cluster, order=3)
+    assert effective_hamiltonian(prob, [1, 0], order=3).shape == (2, 2)
 
 
 def test_effective_two_state_eigenvalues():
@@ -352,6 +390,42 @@ def test_toy_model_is_static():
 
 # --- four leads --------------------------------------------------------------
 
+def _kron_register(f, lower=None, diagonal=None):
+    """The np.kron build of a register operator: f (x) 1 + lower (x) L +
+    h.c. + 1 (x) diag(diagonal), L = |0><1| + |1><2|."""
+    out = np.kron(np.eye(f.shape[0]), np.diag(diagonal or (0.0, 0.0, 0.0))) \
+        + np.kron(f, np.eye(3))
+    if lower is not None:
+        hop = np.kron(lower, np.eye(3, k=1))
+        out = out + hop + hop.conj().T
+    return out
+
+
+def test_register_fill_equals_kron(monkeypatch):
+    rng = np.random.default_rng(8)
+    f, lower = (rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8)))
+    for args in ((f,), (f, lower), (f, None, (-0.8, 0.0, -1.3)),
+                 (f, lower, (-0.8, 0.0, -1.3))):
+        assert np.array_equal(pb._on_register(*args), _kron_register(*args))
+    # every register operator of the toys and of signed_splitting
+    real, seen = pb._on_register, []
+
+    def spy(*args, **kw):
+        seen.append((args, kw, real(*args, **kw)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(pb, "_on_register", spy)
+    p4 = FourLeadParams(eps_plus=1.0, eps_minus=0.8,
+                        couplings={1: 1.0, 2: 0.8, 3: 0.9, 4: 1.1},
+                        link12=0.6, link34=0.5, flux12=0.4, flux43=1.1)
+    four_lead_toy(p4, 0.3)
+    signed_splitting(symmetric_params(0.1, direct=0.02, flux0=0.3), +1, 0.7)
+    assert len(seen) == 4 + 5          # H, charge, 2 parities; + the hop
+    for args, kw, out in seen:
+        assert out.dtype == complex
+        assert np.array_equal(out, _kron_register(*args, **kw))
+
+
 def test_four_lead_coefficients_direct_substitution():
     p4 = FourLeadParams(eps_plus=1.0, eps_minus=1.0,
                         couplings={s: 0.1 for s in range(1, 5)},
@@ -413,6 +487,60 @@ def test_quadratic_from_bdg_commutator_oracle():
     w = 1j * a @ v
     rhs = sum(w[i] * gammas[i] for i in range(6))
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _loop_majorana_form(h):
+    """s^H h s with s built site by site, the dense product the per-site
+    2x2 algebra replaces; returns A = -i (b - b^T)."""
+    n = h.shape[0] // 2
+    s = np.zeros((2 * n, 2 * n), dtype=complex)
+    for x in range(n):
+        s[2 * x, 2 * x] = s[2 * x + 1, 2 * x] = 0.5
+        s[2 * x, 2 * x + 1] = 0.5j
+        s[2 * x + 1, 2 * x + 1] = -0.5j
+    b = s.conj().T @ h @ s
+    return -1j * (b - b.T)
+
+
+def test_quadratic_from_bdg_matches_dense_product():
+    lat = build_realspace_bdg(fig_s1_params(Nx=2, Ny=2))
+    hs = [np.asarray(lat.component(0)), 2 * np.asarray(lat.component(1))]
+    for n in (1, 2, 40, 61):
+        bdg = kitaev_chain_bdg(n, J=1.2, Delta=0.9, mu0=-0.3, mu1=0.5)
+        hs += [np.asarray(bdg.component(0)), 2 * np.asarray(bdg.component(1))]
+    for h in hs:
+        ref = _loop_majorana_form(h)
+        assert np.abs(ref.imag).max() < 1e-15
+        assert np.abs(quadratic_from_bdg(h) - ref.real).max() <= 1e-15
+
+
+def test_quadratic_from_bdg_rejects_bad_shapes():
+    for shape in ((3, 3), (4, 6), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            quadratic_from_bdg(np.zeros(shape, dtype=complex))
+
+
+def test_expansion_on_complex_copies_equals_real_operators():
+    # the expansion multiplies complex copies of A0 and A1; each residual
+    # from the real operators is bit for bit the same
+    zero = kitaev_chain_bdg(40, J=0.3, Delta=0.3, mu0=0.05, mu1=0.4, omega=W)
+    a0z = quadratic_from_bdg(np.asarray(zero.component(0)))
+    a1z = quadratic_from_bdg(2 * np.asarray(zero.component(1)))
+    a0p, a1p = pi_chain()
+    seedp = pi_mode_seeds(a0p, a1p, W, tol=0.05)[0]
+    runs = [(a0z, a1z, zero_mode_seeds(a0z, tol=1e-6)[:, 0], "zero", {}),
+            (a0p, a1p, seedp, "pi", {"seed_tol": 0.2}),
+            (a0p, a1p, seedp, "pi", {"seed_tol": 0.2,
+                                     "first_order_pi_coeffs": (2 / 3, -2 / 3)})]
+    for a0, a1, seed, species, kw in runs:
+        for order in (0, 1, 2):
+            exp = majorana_mode_expansion(a0, a1, seed, species, order=order,
+                                          omega=W, **kw)
+            real = pb._expansion_residual(exp.components, a0, a1, W, species)
+            cplx = pb._expansion_residual(exp.components, a0.astype(complex),
+                                          a1.astype(complex), W, species)
+            assert all(np.array_equal(real[m], cplx[m]) for m in real)
+            assert pb._residual_norm(real) == exp.residual_history[-1]
 
 
 def test_zero_mode_expansion_trivial_drive():
@@ -512,44 +640,99 @@ def _pi_seeds_reference(a0, a1, omega, tol):
     return block, w[sel], v[:, sel].real
 
 
+def _pi_seeds_full_xy(a0, a1, omega, tol):
+    """pi_mode_seeds with one eig of the full n x n product X Y in place of
+    one per component: (selected sqrt(mu), seeds), nearest omega/2 first."""
+    x_op, y_op = -a0 + a1 / 2, a0 + a1 / 2
+    mu, xs = np.linalg.eig(x_op @ y_op)
+    w = np.sqrt(mu.astype(complex))
+    sel = np.nonzero((np.abs(w.imag) < 1e-8)
+                     & (np.abs(w.real - omega / 2) <= tol * omega))[0]
+    sel = sel[np.argsort(np.abs(w[sel].real - omega / 2), kind="stable")]
+    seeds = []
+    for idx in sel:
+        x = xs[:, idx].real
+        vec = x + 1j * (y_op @ x / w[idx].real)
+        seeds.append(vec / np.linalg.norm(vec))
+    return w[sel], seeds
+
+
+def _drawn_pi_chain(n_sites, seed):
+    """A pi chain with every parameter drawn +-5 %, as in lead-oracles."""
+    f = 1.0 + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 7)
+    bdg = kitaev_chain_bdg(n_sites, J=1.2 * f[3], Delta=1.2 * f[4],
+                           mu0=1.0 * f[5], mu1=0.5 * f[6], omega=W)
+    a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
+    a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
+    return a0, a1
+
+
+def _check_seeds_against(a0, a1, seeds, lam_ref, seed_ref):
+    """Every block eigenvalue is doubly degenerate (X Y is a product of two
+    antisymmetric matrices), and on some chains each solver splits a pair
+    by up to ~1e-5 with eigen-residuals near 1e-14: such a pair is
+    resolved only to its splitting.  So eigenvalues agree to 1e-10 or to
+    4x the two solvers' splittings of their pair, and residual histories
+    to 1e-9 relative or to 1e3x the splittings of seeds[0]'s pair."""
+    n = a0.shape[0]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, n:] = -a0 + a1 / 2
+    block[n:, :n] = a0 + a1 / 2
+    assert len(seeds) == lam_ref.size > 0
+    z = np.array([np.concatenate([v.real, v.imag]) for v in seeds]).T
+    lam = np.einsum("ik,ik->k", z, block @ z)       # |z| = 1
+    for v, mu in zip(seeds, lam):                   # the eigencondition
+        lhs = 1j * (a0 @ v) + 0.5j * (a1 @ v.conj()) - mu * v
+        assert np.linalg.norm(lhs) < 1e-10
+    assert np.all(np.diff(np.abs(lam - W / 2)) >= -1e-10)
+    pairs = np.sort_complex(lam_ref).reshape(-1, 2)
+    ours = np.sort(lam).reshape(-1, 2)
+    split = np.repeat(np.abs(pairs[:, 0] - pairs[:, 1])
+                      + ours[:, 1] - ours[:, 0], 2)
+    diff = np.abs(ours.ravel() - pairs.real.ravel())
+    assert np.all(diff <= np.maximum(1e-10, 4 * split))
+    split0 = split[np.argmin(np.abs(ours.ravel() - lam[0]))]
+    hist = [majorana_mode_expansion(a0, a1, v, "pi", order=3, omega=W,
+                                    seed_tol=0.2).residual_history
+            for v in (seeds[0], seed_ref)]
+    assert np.allclose(hist[0], hist[1], atol=0,
+                       rtol=max(1e-9, 1e3 * split0)), split0
+
+
 @pytest.mark.parametrize("n_sites", [40, 60, 61])
 def test_pi_seeds_match_full_block_eig(n_sites):
-    # Seeded +-5 % chains drawn as in the expansion tests.  Every block
-    # eigenvalue is doubly degenerate (X Y is a product of two
-    # antisymmetric matrices), and on some chains each solver splits a
-    # pair by up to ~1e-5 with eigen-residuals near 1e-14: such a pair is
-    # resolved only to its splitting.  So eigenvalues agree to 1e-10 or to
-    # 4x the two solvers' splittings of their pair, and residual histories
-    # to 1e-9 relative or to 1e3x the splittings of seeds[0]'s pair.
+    # seeded chains drawn as in the expansion tests, against the real
+    # 2n x 2n block eigenproblem that pi_mode_seeds solves at half size,
+    # and against one eig of all of X Y: real couplings make A0 and A1
+    # bipartite, so X Y splits into its two Majorana sublattices and
+    # pi_mode_seeds solves one eig per component
+    n = 2 * n_sites
     for seed in range(6):
-        f = 1.0 + 0.05 * np.random.default_rng(seed).uniform(-1, 1, 7)
-        bdg = kitaev_chain_bdg(n_sites, J=1.2 * f[3], Delta=1.2 * f[4],
-                               mu0=1.0 * f[5], mu1=0.5 * f[6], omega=W)
-        a0 = quadratic_from_bdg(np.asarray(bdg.component(0)))
-        a1 = quadratic_from_bdg(2 * np.asarray(bdg.component(1)))
+        a0, a1 = _drawn_pi_chain(n_sites, seed)
+        xy = (-a0 + a1 / 2) @ (a0 + a1 / 2)
+        assert [b.shape for b in pb._blocks((xy != 0) | (xy.T != 0))] \
+            == [(2, n_sites)]
         seeds = pi_mode_seeds(a0, a1, W, tol=0.05)
-        block, lam_ref, z_ref = _pi_seeds_reference(a0, a1, W, 0.05)
-        assert len(seeds) == lam_ref.size > 0
-        z = np.array([np.concatenate([v.real, v.imag]) for v in seeds]).T
-        lam = np.einsum("ik,ik->k", z, block @ z)       # |z| = 1
-        for v, mu in zip(seeds, lam):                   # the eigencondition
-            lhs = 1j * (a0 @ v) + 0.5j * (a1 @ v.conj()) - mu * v
-            assert np.linalg.norm(lhs) < 1e-10
-        assert np.all(np.diff(np.abs(lam - W / 2)) >= -1e-10)
-        pairs = np.sort_complex(lam_ref).reshape(-1, 2)
-        ours = np.sort(lam).reshape(-1, 2)
-        split = np.repeat(np.abs(pairs[:, 0] - pairs[:, 1])
-                          + ours[:, 1] - ours[:, 0], 2)
-        diff = np.abs(ours.ravel() - pairs.real.ravel())
-        assert np.all(diff <= np.maximum(1e-10, 4 * split))
-        split0 = split[np.argmin(np.abs(ours.ravel() - lam[0]))]
-        n = a0.shape[0]
-        hist = [majorana_mode_expansion(a0, a1, v, "pi", order=3, omega=W,
-                                        seed_tol=0.2).residual_history
-                for v in (seeds[0], (z_ref[:n, 0] + 1j * z_ref[n:, 0])
-                          / np.linalg.norm(z_ref[:, 0]))]
-        assert np.allclose(hist[0], hist[1], atol=0,
-                           rtol=max(1e-9, 1e3 * split0)), (seed, split0)
+        _, lam_ref, z_ref = _pi_seeds_reference(a0, a1, W, 0.05)
+        _check_seeds_against(a0, a1, seeds, lam_ref,
+                             (z_ref[:n, 0] + 1j * z_ref[n:, 0])
+                             / np.linalg.norm(z_ref[:, 0]))
+        w_ref, seeds_ref = _pi_seeds_full_xy(a0, a1, W, 0.05)
+        _check_seeds_against(a0, a1, seeds, w_ref.real, seeds_ref[0])
+
+
+def test_pi_seeds_on_connected_xy_are_the_full_solve():
+    # an A-A coupling joins the sublattices: X Y is one component, and
+    # the per-component path is the full solve
+    a0, a1 = _drawn_pi_chain(60, 0)
+    a0[0, 2], a0[2, 0] = 0.05, -0.05
+    xy = (-a0 + a1 / 2) @ (a0 + a1 / 2)
+    assert [b.shape for b in pb._blocks((xy != 0) | (xy.T != 0))] == [(1, 120)]
+    seeds = pi_mode_seeds(a0, a1, W, tol=0.05)
+    w_ref, seeds_ref = _pi_seeds_full_xy(a0, a1, W, 0.05)
+    assert len(seeds) == len(seeds_ref) > 0
+    assert all(np.array_equal(v, r) for v, r in zip(seeds, seeds_ref))
+    _check_seeds_against(a0, a1, seeds, w_ref.real, seeds_ref[0])
 
 
 def test_pi_mode_expansion_residuals_and_hermiticity():
