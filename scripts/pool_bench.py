@@ -11,13 +11,21 @@ the record lists every run per seed, the quartiles [q1, median, q3]
 (linear interpolation), the ratio of the medians (change over parent) and
 the number of pairs in which the change reads lower; every perfbench
 metric is better lower.  Beside each ratio it records the median gain
-(parent median minus change median) and the parent's interquartile spread
-(q3 - q1); the printed table marks with "*" each metric whose median gain
-exceeds that spread, one half of the rule for claiming a gain (the other
-is the change reading lower in nine of ten pairs).  Every traced run of a side is pooled: each
-per-layer value is recorded as the median and [min, max] over those runs,
-with the ratio of the medians (change over parent).  The runs'
-environment gives the machine record.
+(parent median minus change median), the parent's interquartile spread
+(q3 - q1) and the marks the printed table shows after the ratio:
+
+    *           the change reads lower in at least 9 of every 10 pairs and its
+                median gain exceeds the parent's interquartile spread (the
+                rule for claiming a gain);
+    worse       the change's median exceeds the parent's by more than the
+                metric's bound in BENCHMARK.json;
+    unresolved  the parent's interquartile spread over its median exceeds
+                that bound, so the runs spread too widely to tell.
+
+Metrics without a bound get no "worse" or "unresolved" mark.  Every traced
+run of a side is pooled: each per-layer value is recorded as the median
+and [min, max] over those runs, with the ratio of the medians (change over
+parent).  The runs' environment gives the machine record.
 
 With --a-a, COPY_RESULTS are the runs of a second clean copy of the
 parent; they are pooled against the parent's in the same way (the copy in
@@ -42,6 +50,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# end-to-end metric -> its relative bound, from the benchmark's declaration
+BOUNDS = {m["name"]: m["bound"] for m in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+)["end_to_end"]}
 CRITERION_1_RUNS = 3
 
 CRITERION_1 = """
@@ -130,12 +142,29 @@ def pool(parent, change):
         qp, qc = entry["parent"]["quartiles"], entry["change"]["quartiles"]
         entry["median_gain"] = {k: round(qp[k][1] - qc[k][1], 4) for k in p}
         entry["parent_iqr"] = {k: round(qp[k][2] - qp[k][0], 4) for k in p}
+        entry["marks"] = {k: marks(entry, k) for k in p}
         tp, tc = entry["parent"]["traced"], entry["change"]["traced"]
         entry["traced_change_over_parent"] = {
             k: round(tc[k]["median"] / tp[k]["median"], 4)
             for k in tp if k in tc and tp[k]["median"]}
         workloads[name] = entry
     return workloads, units, machines
+
+
+def marks(entry, k):
+    """The printed table's marks of metric k (see the module docstring)."""
+    out = []
+    if (10 * entry["change_wins"][k] >= 9 * entry["pairs"]
+            and entry["median_gain"][k] > entry["parent_iqr"][k]):
+        out.append("*")
+    bound = BOUNDS.get(k)
+    if bound is not None:
+        median = entry["parent"]["quartiles"][k][1]
+        if entry["change"]["quartiles"][k][1] > median * (1 + bound):
+            out.append("worse")
+        if entry["parent_iqr"][k] > bound * median:
+            out.append("unresolved")
+    return out
 
 
 def criterion_1(sources):
@@ -187,13 +216,14 @@ def main(argv=None):
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for label, table in tables:
         for name, entry in table.items():
-            gain, iqr = entry["median_gain"], entry["parent_iqr"]
             print(f"{label + name:18s} pairs {entry['pairs']:2d}  " + "  ".join(
-                f"{k} {r:.3f} ({entry['change_wins'][k]})"
-                + ("*" if gain[k] > iqr[k] else "")
+                f"{k} {r:.3f} ({entry['change_wins'][k]})" + "".join(
+                    m if m == "*" else f" {m}" for m in entry["marks"][k])
                 for k, r in entry["change_over_parent"].items()))
     print("ratio change/parent of the medians (pairs the change reads lower); "
-          "* median gain > the parent's interquartile spread")
+          "* lower in >= 9 of 10 pairs and median gain > the parent's "
+          "interquartile spread; worse: median beyond the bound; "
+          "unresolved: the parent's spread beyond the bound")
     return 0
 
 

@@ -221,11 +221,15 @@ class DrivenBdG:
                 raise ValueError(f"harmonic {-m} missing for harmonic {m}")
             if m < 0:
                 continue                       # checked with its partner
-            defect = np.abs(np.swapaxes(h, -1, -2).conj() - partner).max(
-                initial=0.0)
-            if defect > 1e-12 * max(1.0, np.abs(h).max(initial=0.0)):
-                raise ValueError(f"harmonics {m}/{-m} are not mutually adjoint: "
-                                 f"defect {defect:.3e}")
+            # an inf or NaN entry makes the relative defect inf or NaN,
+            # which fails `<=`
+            with np.errstate(invalid="ignore"):
+                defect = np.abs(np.swapaxes(h, -1, -2).conj() - partner).max(
+                    initial=0.0)
+                rel = defect / max(1.0, np.abs(h).max(initial=0.0))
+            if not rel <= 1e-12:
+                raise ValueError(f"harmonics {m}/{-m} are not mutually adjoint "
+                                 f"or not finite: defect {defect:.3e}")
 
     @property
     def harmonics(self) -> dict[int, np.ndarray]:

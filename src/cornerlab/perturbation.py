@@ -64,34 +64,108 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
             for rows in np.split(order, bounds)]
 
 
-def _block_eigh(h: np.ndarray, blocks: list[np.ndarray] | None = None,
-                vectors: bool = True):
-    """Eigenvalues of the Hermitian h in ascending order, solved block by
-    block: `blocks` are `_blocks` of a pattern that holds every nonzero of
-    h (by default h's own).  Each group of equal-size blocks is one
-    batched eigh/eigvalsh, so a connected h is the dense solve.  With
-    `vectors`, also the eigenvector columns in the same order, each
-    exactly zero outside its block, and per group the (k, s) columns that
-    hold its blocks' states."""
-    if blocks is None:
-        blocks = _blocks(h != 0)
-    subs = [h[rows[:, :, None], rows[:, None, :]] for rows in blocks]
-    if not vectors:
-        return np.sort(np.concatenate(
-            [np.linalg.eigvalsh(sub).ravel() for sub in subs]))
+def _eigvalsh_sorted(subs: list[np.ndarray]) -> np.ndarray:
+    """Every eigenvalue of the (k, s, s) stacks of Hermitian blocks in
+    ascending order, one batched eigvalsh per stack."""
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(sub).ravel() for sub in subs]))
+
+
+def _eigh_sorted(subs: list[np.ndarray]):
+    """One batched eigh per (k, s, s) stack of Hermitian blocks: every
+    eigenvalue in ascending order, each stack's eigenvectors, and per
+    stack the (k, s) positions of its eigenvalues in that order."""
     solved = [np.linalg.eigh(sub) for sub in subs]
     evals = np.concatenate([w.ravel() for w, _ in solved])
     order = np.argsort(evals, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    vecs = np.zeros(h.shape, dtype=np.result_type(h.dtype, float))
     cols, start = [], 0
-    for rows, (w, v) in zip(blocks, solved):
-        c = column[start:start + w.size].reshape(w.shape)
-        vecs[rows[:, :, None], c[:, None, :]] = v
-        cols.append(c)
+    for w, _ in solved:
+        cols.append(column[start:start + w.size].reshape(w.shape))
         start += w.size
-    return evals[order], vecs, cols
+    return evals[order], [v for _, v in solved], cols
+
+
+def _place(rows: list[np.ndarray], cols: list[np.ndarray],
+           stacks: list[np.ndarray]) -> np.ndarray:
+    """The dense matrix holding each (k, s, s) stack at its (k, s) row
+    and column indices, zero elsewhere."""
+    d = sum(r.size for r in rows)
+    out = np.zeros((d, d), dtype=stacks[0].dtype)
+    for r, c, stack in zip(rows, cols, stacks):
+        out[r[:, :, None], c[:, None, :]] = stack
+    return out
+
+
+def _block_eigh(h: np.ndarray, vectors: bool = True):
+    """Eigenvalues of the Hermitian h in ascending order, solved block by
+    block over the `_blocks` of its nonzero pattern.  Each group of
+    equal-size blocks is one batched eigh/eigvalsh, so a connected h is
+    the dense solve.  With `vectors`, also the eigenvector columns in the
+    same order, each exactly zero outside its block, and per group the
+    (k, s) columns that hold its blocks' states."""
+    blocks = _blocks(h != 0)
+    subs = [h[rows[:, :, None], rows[:, None, :]] for rows in blocks]
+    if not vectors:
+        return _eigvalsh_sorted(subs)
+    evals, vecs, cols = _eigh_sorted(subs)
+    return evals, _place(blocks, cols, vecs), cols
+
+
+def _same_harmonics(bdg: DrivenBdG, harmonics: dict[int, np.ndarray]) -> bool:
+    """Whether `harmonics` holds exactly bdg's harmonic indices, each equal
+    to bdg's frozen copy (NaN never is)."""
+    frozen = bdg.harmonics
+    return len(frozen) == len(harmonics) and all(
+        int(m) in frozen and np.array_equal(frozen[int(m)], h)
+        for m, h in harmonics.items())
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """The lam-independent part of a `PerturbationProblem`, every array
+    read-only: the validated, frozen harmonics of H0 and V, the cutoff,
+    the `_blocks` of the union of both Sambe patterns and, per block
+    size, the stacks of H0 and V blocks, the unperturbed eigenvectors,
+    the (k, s) positions of their eigenvalues in the ascending `eps0`,
+    and V in that basis."""
+
+    h0: DrivenBdG
+    v: DrivenBdG
+    m_cutoff: int
+    blocks: tuple[np.ndarray, ...]
+    h0_blocks: tuple[np.ndarray, ...]
+    v_blocks: tuple[np.ndarray, ...]
+    eps0: np.ndarray
+    vecs: tuple[np.ndarray, ...]
+    cols: tuple[np.ndarray, ...]
+    v_basis: tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, h0, v, omega, m_cutoff) -> _Structure:
+        # DrivenBdG rejects harmonics that are not mutually adjoint or not finite
+        h0_bdg, v_bdg = DrivenBdG(h0, omega), DrivenBdG(v, 0.0)
+        h0_sambe = assemble_sambe(h0_bdg, m_cutoff).matrix
+        v_sambe = assemble_sambe(v_bdg, m_cutoff).matrix
+        # H0 + lam*V is block-diagonal over the union pattern's components
+        blocks = _blocks((h0_sambe != 0) | (v_sambe != 0))
+        h0_b = [h0_sambe[rows[:, :, None], rows[:, None, :]] for rows in blocks]
+        v_b = [v_sambe[rows[:, :, None], rows[:, None, :]] for rows in blocks]
+        eps0, vecs, cols = _eigh_sorted(h0_b)
+        v_basis = [w.conj().swapaxes(1, 2) @ vb @ w for w, vb in zip(vecs, v_b)]
+        for a in (eps0, *blocks, *h0_b, *v_b, *vecs, *cols, *v_basis):
+            a.setflags(write=False)
+        return cls(h0_bdg, v_bdg, m_cutoff, tuple(blocks), tuple(h0_b),
+                   tuple(v_b), eps0, tuple(vecs), tuple(cols), tuple(v_basis))
+
+    def fits(self, h0, v, omega, m_cutoff) -> bool:
+        return (m_cutoff == self.m_cutoff and float(omega) == self.h0.omega
+                and _same_harmonics(self.h0, h0) and _same_harmonics(self.v, v))
+
+
+# the structure of the last problem built, which the next one reuses if it fits
+_last_structure: _Structure | None = None
 
 
 @dataclass
@@ -99,9 +173,14 @@ class PerturbationProblem:
     """H(t) = H0(t) + lam * V(t), both given by Fourier harmonics on the
     base frequency `omega` (use omega/2 as base for period-2T problems).
 
-    Both Sambe matrices are assembled once, at construction; V is lifted
-    without the n*omega diagonal.  m_cutoff = 0 is allowed for static
-    problems only."""
+    The lam-independent work is done once per structure: validating and
+    freezing the harmonics, both Sambe assemblies (V lifted without the
+    n*omega diagonal), the block pattern, the unperturbed block solve and
+    V in its basis.  A problem reuses the last problem's structure when
+    omega, m_cutoff, the harmonic indices and every harmonic (by value,
+    against the structure's frozen copies) are equal, so a lam sweep
+    builds it once.  The dense `basis`, `v_matrix` and Sambe matrices are
+    built on request.  m_cutoff = 0 is allowed for static problems only."""
 
     h0: dict[int, np.ndarray]
     v: dict[int, np.ndarray]
@@ -110,35 +189,45 @@ class PerturbationProblem:
     lam: float = 1.0
 
     def __post_init__(self):
-        # DrivenBdG rejects harmonics that are not mutually adjoint
-        self._h0_sambe = assemble_sambe(
-            DrivenBdG(self.h0, self.omega), self.m_cutoff).matrix
-        self._v_sambe = assemble_sambe(DrivenBdG(self.v, 0.0), self.m_cutoff).matrix
-        # H0 + lam*V is block-diagonal over the union pattern's components
-        self._blocks = _blocks((self._h0_sambe != 0) | (self._v_sambe != 0))
-
-    @cached_property
-    def _unperturbed(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        return _block_eigh(self._h0_sambe, self._blocks)
+        global _last_structure
+        for name in ("lam", "omega"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.m_cutoff, (int, np.integer)) or self.m_cutoff < 0:
+            raise ValueError(f"m_cutoff must be an int >= 0, got {self.m_cutoff!r}")
+        s = _last_structure
+        if s is None or not s.fits(self.h0, self.v, self.omega, self.m_cutoff):
+            s = _last_structure = _Structure.build(
+                self.h0, self.v, self.omega, self.m_cutoff)
+        self._structure = s
 
     @property
     def eps0(self) -> np.ndarray:
-        return self._unperturbed[0]
+        return self._structure.eps0
 
     @property
+    def _blocks(self) -> list[np.ndarray]:
+        return list(self._structure.blocks)
+
+    @cached_property
     def basis(self) -> np.ndarray:
-        return self._unperturbed[1]
+        s = self._structure
+        return _place(s.blocks, s.cols, s.vecs)
 
     @cached_property
     def v_matrix(self) -> np.ndarray:
         """The perturbation in the unperturbed Sambe eigenbasis (lam excluded)."""
-        _, W, cols = self._unperturbed
-        out = np.zeros_like(W)
-        for rows, c in zip(self._blocks, cols):
-            w = W[rows[:, :, None], c[:, None, :]]
-            v = self._v_sambe[rows[:, :, None], rows[:, None, :]]
-            out[c[:, :, None], c[:, None, :]] = w.conj().swapaxes(1, 2) @ v @ w
-        return out
+        s = self._structure
+        return _place(s.cols, s.cols, s.v_basis)
+
+    @cached_property
+    def _h0_sambe(self) -> np.ndarray:
+        return assemble_sambe(self._structure.h0, self.m_cutoff).matrix
+
+    @cached_property
+    def _v_sambe(self) -> np.ndarray:
+        return assemble_sambe(self._structure.v, self.m_cutoff).matrix
 
     def cluster_near(self, center: float, tol: float) -> np.ndarray:
         """Indices of unperturbed Sambe states within tol of `center`."""
@@ -146,8 +235,9 @@ class PerturbationProblem:
 
     def exact_quasienergies(self) -> np.ndarray:
         """Eigenvalues of the full Sambe matrix H0 + lam*V (unfolded)."""
-        return _block_eigh(self._h0_sambe + self.lam * self._v_sambe,
-                           self._blocks, vectors=False)
+        s = self._structure
+        return _eigvalsh_sorted([h + self.lam * v
+                                 for h, v in zip(s.h0_blocks, s.v_blocks)])
 
 
 # unperturbed Sambe levels closer than this to the cluster center belong to it
@@ -189,8 +279,8 @@ def effective_hamiltonian(
                   where=np.abs(eps - center) > DEGENERACY_TOL)
 
     heff = np.diag(eps[cluster]).astype(complex)
-    for c in problem._unperturbed[2]:
-        v = problem.v_matrix[c[:, :, None], c[:, None, :]]
+    s = problem._structure
+    for c, v in zip(s.cols, s.v_basis):
         inside = pos[c] >= 0
         pair = inside[:, :, None] & inside[:, None, :]
         pvp = v * pair

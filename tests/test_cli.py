@@ -450,13 +450,15 @@ def test_pool_bench_pairs_runs_of_both_sides(tmp_path, capsys):
     spec.loader.exec_module(script)
     env = {"nproc": 2, "numpy": "x", "scipy": "y", "blas": {}, "machine": "m"}
 
-    def write(side, seed, trace, value):
+    def write(side, seed, trace, value, workload="w"):
         d = tmp_path / side
         d.mkdir(exist_ok=True)
-        rec = {"workload": "w", "seed": seed, "trace": trace, "correct": True,
-               "attempted": 10, "failed": 0, "environment": env,
+        rec = {"workload": workload, "seed": seed, "trace": trace,
+               "correct": True, "attempted": 10, "failed": 0,
+               "environment": env,
                "metrics": {"op_p50_s": {"value": value, "unit": "s"}}}
-        (d / f"w.seed{seed}.trace{trace}.json").write_text(json.dumps(rec))
+        (d / f"{workload}.seed{seed}.trace{trace}.json").write_text(
+            json.dumps(rec))
 
     for seed, (a, b) in enumerate([(1.0, 0.8), (1.2, 0.9), (0.9, 1.0)], 1):
         write("parent", seed, 0, a)
@@ -507,3 +509,35 @@ def test_pool_bench_pairs_runs_of_both_sides(tmp_path, capsys):
     assert w["median_gain"] == {"op_p50_s": 0.45} and w["change_wins"] == {
         "op_p50_s": 3}
     assert "op_p50_s 0.550 (3)*" in capsys.readouterr().out
+    # each mark over ten pairs, against the bound BENCHMARK.json declares:
+    # "*" needs 9 of 10 pairs lower and a median gain above the parent's
+    # spread; "worse" a change median beyond the bound; "unresolved" a
+    # parent spread beyond it
+    bound = script.BOUNDS["op_p50_s"]
+    assert bound == {m["name"]: m["bound"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}["op_p50_s"]
+    wide = [1.0 + bound * x for x in (-1.6, -1.2, -0.8, -0.4, 0, 0, 0.4,
+                                      0.8, 1.2, 1.6)]
+    cases = {"nine": ([1.0] * 10, [0.8] * 9 + [1.1], ["*"]),
+             "eight": ([1.0] * 10, [0.8] * 8 + [1.1] * 2, []),
+             "worse": ([1.0] * 10, [1.0 + 1.5 * bound] * 10, ["worse"]),
+             "edge": ([1.0] * 10, [1.0 + 0.5 * bound] * 10, []),
+             "wide": (wide, [1.0] * 10, ["unresolved"]),
+             "both": (wide, [1.0 + 1.5 * bound] * 10, ["worse", "unresolved"])}
+    for name, (a, b, _) in cases.items():
+        for seed, (x, y) in enumerate(zip(a, b), 1):
+            write("parent10", seed, 0, x, name)
+            write("change10", seed, 0, y, name)
+    assert script.main([str(tmp_path / "parent10"), str(tmp_path / "change10"),
+                        "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())["workloads"]
+    lines = capsys.readouterr().out.splitlines()
+    for name, (_, _, want) in cases.items():
+        assert rec[name]["pairs"] == 10 and rec[name]["marks"] == {
+            "op_p50_s": want}, name
+        line = next(x for x in lines if x.startswith(name + " "))
+        cell = line.split("op_p50_s ")[1]
+        assert cell.endswith(")" + "".join(
+            m if m == "*" else f" {m}" for m in want)), (name, cell)
+    assert rec["nine"]["change_wins"] == {"op_p50_s": 9}
+    assert rec["eight"]["median_gain"]["op_p50_s"] > 0

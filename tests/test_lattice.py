@@ -156,6 +156,24 @@ def test_adjoint_check_is_relative_and_builders_pass(boundary):
         DrivenBdG({0: bdg.component(0), 1: h1}, p.omega)
 
 
+
+def test_driven_bdg_rejects_non_finite_harmonics():
+    # NaN fails every comparison, so the adjoint test is written to fail
+    # on it; an inf entry makes the relative defect inf or NaN
+    with pytest.raises(ValueError, match="harmonics 0/0 .* not finite"):
+        kitaev_chain_bdg(4, J=1.0, Delta=1.0, mu0=np.nan, mu1=0.5)
+    with pytest.raises(ValueError, match="harmonics 1/-1 .* not finite"):
+        kitaev_chain_bdg(4, J=1.0, Delta=1.0, mu0=0.3, mu1=np.nan)
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    inf_diag = np.diag([np.inf, 0.0])
+    inf_off = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    for harmonics in ({0: np.diag([1.0, np.nan])}, {0: inf_off},
+                      {0: eye, 1: inf_diag, -1: zero},
+                      {0: eye, 1: zero, -1: inf_diag},
+                      {0: eye, 1: inf_diag, -1: inf_diag}):
+        with pytest.raises(ValueError, match="not finite"):
+            DrivenBdG(harmonics, 1.0)
+
 def test_kitaev_chain_matches_loop_build():
     for n, args in ((1, (0.7, 0.4, 0.3, 0.9)), (2, (1.0, 1.0, 0.0, 0.0)),
                     (40, (0.3, 0.31, 0.05, 0.4)), (61, (1.2, 1.15, -1.0, 0.5))):

@@ -1,14 +1,22 @@
+import dataclasses
 import re
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cornerlab import fock
 from cornerlab import perturbation as pb
-from cornerlab.lattice import build_realspace_bdg, fig_s1_params, kitaev_chain_bdg
+from cornerlab.floquet import assemble_sambe
+from cornerlab.lattice import (
+    DrivenBdG,
+    build_realspace_bdg,
+    fig_s1_params,
+    kitaev_chain_bdg,
+)
 from cornerlab.perturbation import (
     FourLeadParams,
     PerturbationProblem,
@@ -92,15 +100,16 @@ def test_random_driven_problem_second_order_slope():
 
 
 def _dense_problem(prob):
-    """The same problem with the dense eigh basis and W^H V W preset: the
-    reference for the block solve (its effective block comes from
-    `_dense_effective`)."""
-    ref = PerturbationProblem(prob.h0, prob.v, prob.omega, prob.m_cutoff,
-                              prob.lam)
-    eps, W = np.linalg.eigh(ref._h0_sambe)
-    ref._unperturbed = (eps, W, None)
-    ref.v_matrix = W.conj().T @ ref._v_sambe @ W
-    return ref
+    """The same problem solved densely: the eigh basis of the whole Sambe
+    matrix and W^H V W, the reference for the block solve (its effective
+    block comes from `_dense_effective`)."""
+    h0_sambe = assemble_sambe(DrivenBdG(prob.h0, prob.omega), prob.m_cutoff).matrix
+    v_sambe = assemble_sambe(DrivenBdG(prob.v, 0.0), prob.m_cutoff).matrix
+    eps, W = np.linalg.eigh(h0_sambe)
+    return SimpleNamespace(
+        eps0=eps, basis=W, v_matrix=W.conj().T @ v_sambe @ W, lam=prob.lam,
+        _h0_sambe=h0_sambe, _v_sambe=v_sambe,
+        cluster_near=lambda center, tol: np.nonzero(np.abs(eps - center) <= tol)[0])
 
 
 def _dense_effective(prob, cluster, order):
@@ -227,19 +236,170 @@ def test_connected_driven_problem_is_one_block():
     assert np.abs(prob.v_matrix - ref.v_matrix).max() < 1e-12
 
 
-def test_problem_rejects_bad_harmonics():
+def _fresh(**kw):
+    """A problem built with the structure slot cleared."""
+    pb._last_structure = None
+    return PerturbationProblem(**kw)
+
+
+def _driven_problem_inputs():
+    rng = np.random.default_rng(11)
+    d = 6
+    v1 = 0.5 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    v2 = 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return dict(h0={0: np.diag(np.linspace(-2.0, 2.0, d)).astype(complex)},
+                v={0: v1 + v1.conj().T, 1: v2, -1: v2.conj().T}, omega=W,
+                m_cutoff=2)
+
+
+def _bad_harmonics():
+    """(bad problem, error pattern, a valid problem of the same shape)."""
     d = 3
     h = np.diag([0.0, 1.0, 2.0]).astype(complex)
     a = np.triu(np.ones((d, d), dtype=complex), 1)
     driven = {0: h, 1: a, -1: a.conj().T}
-    with pytest.raises(ValueError, match="adjoint"):
-        PerturbationProblem(h0={0: h, 1: a, -1: a}, v={0: h}, omega=W,
-                            m_cutoff=2)
-    with pytest.raises(ValueError, match="adjoint"):
-        PerturbationProblem(h0={0: h}, v={0: a}, omega=W, m_cutoff=0)
-    for h0, v in ((driven, {0: h}), ({0: h}, driven)):
-        with pytest.raises(ValueError, match="cutoff"):
-            PerturbationProblem(h0=h0, v=v, omega=W, m_cutoff=0)
+    h_nan = h.copy()
+    h_nan[1, 1] = np.nan
+    a_inf = a + a.conj().T
+    a_inf[0, 2] = a_inf[2, 0] = np.inf
+    return [
+        (dict(h0={0: h, 1: a, -1: a}, v={0: h}, m_cutoff=2), "adjoint",
+         dict(h0=driven, v={0: h}, m_cutoff=2)),
+        (dict(h0={0: h}, v={0: a}, m_cutoff=0), "adjoint",
+         dict(h0={0: h}, v={0: a + a.conj().T}, m_cutoff=0)),
+        (dict(h0=driven, v={0: h}, m_cutoff=0), "cutoff",
+         dict(h0=driven, v={0: h}, m_cutoff=2)),
+        (dict(h0={0: h}, v=driven, m_cutoff=0), "cutoff",
+         dict(h0={0: h}, v=driven, m_cutoff=2)),
+        (dict(h0={0: h_nan}, v={0: h}, m_cutoff=0), "finite",
+         dict(h0={0: h}, v={0: h}, m_cutoff=0)),
+        (dict(h0={0: h}, v={0: a_inf}, m_cutoff=0), "finite",
+         dict(h0={0: h}, v={0: a + a.conj().T}, m_cutoff=0)),
+    ]
+
+
+def test_problem_rejects_bad_harmonics():
+    for bad, match, _ in _bad_harmonics():
+        with pytest.raises(ValueError, match=match):
+            _fresh(**bad, omega=W)
+
+
+def test_bad_harmonics_raise_after_a_valid_problem():
+    # a bad input never matches the last structure, and a failed build
+    # leaves the slot as it was
+    for bad, match, valid in _bad_harmonics():
+        ok = PerturbationProblem(**valid, omega=W)
+        with pytest.raises(ValueError, match=match):
+            PerturbationProblem(**bad, omega=W)
+        assert pb._last_structure is ok._structure
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", np.nan), ("lam", np.inf), ("lam", -np.inf), ("omega", np.nan),
+    ("omega", np.inf), ("m_cutoff", 1.5), ("m_cutoff", -1), ("m_cutoff", "2")])
+def test_problem_rejects_bad_scalars(field, value):
+    kw = dict(h0={0: np.diag([0.0, 1.0]).astype(complex)},
+              v={0: np.ones((2, 2), dtype=complex)}, omega=W, m_cutoff=0,
+              lam=0.1)
+    PerturbationProblem(**kw)
+    kw[field] = value
+    with pytest.raises(ValueError, match=field):
+        PerturbationProblem(**kw)
+
+
+@pytest.mark.parametrize("case", ["four-lead", "driven"])
+def test_lam_sweep_reuses_structure_bit_for_bit(case):
+    if case == "four-lead":
+        toy = next(_toy_problems())
+        kw, center = dict(h0=toy.h0, v=toy.v, omega=W, m_cutoff=0), 0.0
+    else:
+        kw, center = _driven_problem_inputs(), -2.0
+    sweep = [PerturbationProblem(**kw, lam=lam)
+             for lam in np.geomspace(0.005, 0.05, 4)]
+    assert all(p._structure is sweep[0]._structure for p in sweep)
+    for prob in sweep:
+        fresh = _fresh(**kw, lam=prob.lam)
+        assert fresh._structure is not prob._structure
+        for name in ("eps0", "basis", "v_matrix"):
+            assert np.array_equal(getattr(prob, name), getattr(fresh, name))
+        assert np.array_equal(prob.exact_quasienergies(),
+                              fresh.exact_quasienergies())
+        e = prob.eps0[np.argmin(np.abs(prob.eps0 - center))]
+        cl = prob.cluster_near(e, 1e-9)
+        for order in (1, 2, 3):
+            assert np.array_equal(effective_hamiltonian(prob, cl, order),
+                                  effective_hamiltonian(fresh, cl, order))
+
+
+def test_mutated_inputs_give_a_new_structure():
+    kw = _driven_problem_inputs()
+    p1 = PerturbationProblem(**kw, lam=0.1)
+    exact1 = p1.exact_quasienergies()
+    v = kw["v"]
+
+    def values():
+        v[0][0, 3] += 0.5
+        v[0][3, 0] += 0.5
+        kw["h0"][0][1, 1] = 0.25
+
+    def add_harmonics():
+        v[2] = v[-2] = np.eye(6, dtype=complex)
+
+    def drop_harmonics():
+        del v[1], v[-1]
+
+    # each edit in place, between two constructions
+    for edit in (values, add_harmonics, drop_harmonics):
+        edit()
+        p2 = PerturbationProblem(**kw, lam=0.1)
+        assert p2._structure is not p1._structure
+        fresh = _fresh(**kw, lam=0.1)
+        for name in ("eps0", "basis", "v_matrix", "_v_sambe"):
+            assert np.array_equal(getattr(p2, name), getattr(fresh, name))
+        assert np.array_equal(p2.exact_quasienergies(),
+                              fresh.exact_quasienergies())
+        assert not np.array_equal(p2.exact_quasienergies(), exact1)
+        p1 = p2
+    # a problem keeps the structure it was built with
+    assert np.array_equal(p1.exact_quasienergies(), p2.exact_quasienergies())
+
+
+def test_structure_arrays_are_read_only():
+    s = next(_toy_problems())._structure
+    arrays = []
+    for field in dataclasses.fields(s):
+        value = getattr(s, field.name)
+        if isinstance(value, DrivenBdG):
+            arrays += value.harmonics.values()
+        elif isinstance(value, tuple):
+            arrays += value
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    assert len(arrays) > 8
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.reshape(-1)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.eps0 = None
+
+
+def test_four_lead_sweep_builds_driven_bdg_once(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return DrivenBdG(*args, **kwargs)
+
+    monkeypatch.setattr(pb, "DrivenBdG", spy)
+    monkeypatch.setattr(pb, "_last_structure", None)
+    toy = next(_toy_problems())
+    for lam in np.geomspace(0.005, 0.05, 6):
+        prob = PerturbationProblem(h0=toy.h0, v=toy.v, omega=W, m_cutoff=0,
+                                   lam=lam)
+        effective_hamiltonian(prob, prob.cluster_near(0.0, 1e-9), order=3)
+        prob.exact_quasienergies()
+        assert len(built) == 2                  # H0 and V, at the first lam
 
 
 def test_effective_matches_corrections_without_internal_structure():
