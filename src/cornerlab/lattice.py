@@ -198,6 +198,8 @@ class DrivenBdG:
         shape = next(iter(dims))
         self.dim, self.batch = shape[-1], shape[:-2]
         self.omega = float(omega)
+        if not np.isfinite(self.omega):          # omega = 0 is legal
+            raise ValueError(f"omega must be finite, got {omega}")
         if mirror is not None and (mirror.perm.size != self.dim or self.batch):
             raise ValueError(f"mirror of size {mirror.perm.size} on dim "
                              f"{self.dim} with batch {self.batch}")
@@ -447,8 +449,8 @@ def kitaev_chain_bdg(
     T0 = mu0 * np.eye(n_sites, dtype=complex) - J * (up + up.T)
     P0 = Delta * (up.T - up)
     h0 = _bdg_from_blocks(T0, P0)
-    h1 = _bdg_from_blocks((mu1 / 2.0) * np.eye(n_sites, dtype=complex),
-                          np.zeros_like(P0))
+    h1 = _bdg_from_blocks(np.diag(np.full(n_sites, mu1 / 2.0, dtype=complex)),
+                          np.zeros_like(P0))      # no inf * 0 off the diagonal
     return DrivenBdG({0: h0, 1: h1, -1: h1.conj().T}, omega,
                      x_mirror(n_sites, 1))
 

@@ -303,7 +303,7 @@ class MeasureResult:
 
 
 def _measure_amplitudes(psi, perm, coeff, rng, force, parity):
-    """The kernel of `measure` and the protocol executor on raw amplitudes
+    """The kernel of `measure` and of the protocol runs, on raw amplitudes
     and the (perm, coeff) form of the Hermitian `parity`: the outcome drawn
     or forced (+-1, unchecked), the unit post-state and its probability."""
     post = coeff * psi[perm]                # S psi, made psi +- S psi in place
@@ -350,7 +350,7 @@ def measure(
     post-state psi +- S psi (a FockState has unit norm) gives both the
     probability, to eps relative even when p ~ 1e-10, and the exact norm
     it is divided by.  Forcing p < 1e-14 raises `ImpossibleOutcome`.  The
-    protocol executor calls the same kernel, `_measure_amplitudes`.
+    protocol runs call the same kernel, `_measure_amplitudes`.
     """
     perm, coeff = _parity_form(parity)
     if (rng is None) == (force is None):

@@ -2,7 +2,7 @@
 
 Every gate is a short sequence of two- or four-Majorana parity
 measurements followed by an outcome-dependent Pauli/phase correction,
-listed once in the GATES table and run by one executor on raw amplitudes,
+listed once in the GATES table and run by one function on raw amplitudes,
 through the measurement kernel that `majorana.measure` wraps.  Corrections
 can themselves be executed as forced-measurement protocols (faithful mode)
 or applied directly to the state (classical mode); both paths implement
@@ -90,8 +90,13 @@ class ProtocolRun:
     steps: list[ProtocolStep] = field(default_factory=list)
     corrections: list[str] = field(default_factory=list)
     state: FockState | None = None
-    total_retries: int = 0
     own_steps: int | None = None     # steps before correction sub-protocols
+
+    @property
+    def total_retries(self) -> int:
+        """Failed until-flip rounds, sub-protocols included: each loop's
+        closing x3 step carries its count."""
+        return sum(s.retries for s in self.steps)
 
     @property
     def outcomes(self) -> tuple[int, ...]:
@@ -197,119 +202,83 @@ def _gate(protocol: str) -> Gate:
     return GATES[protocol]
 
 
-class _Executor:
-    """Fills one ProtocolRun on raw amplitudes (a FockState is wrapped only
-    for a measured correction and at the end): measurements, forced loops,
-    corrections."""
-
-    def __init__(self, protocol: str, gate: Gate, state: FockState,
-                 rng: np.random.Generator | None, forced: list[int] | None,
-                 correction_mode: str):
-        if correction_mode not in ("measured", "classical"):
-            raise ValueError(f"bad correction mode {correction_mode!r}")
-        if forced is None and rng is None:
-            raise ValueError("need an rng unless all outcomes are forced")
-        n = len(gate.steps)               # forced lists: checked before any draw
-        if forced is not None and len(forced) < n:
-            raise ValueError("forced outcome list exhausted")
-        if forced is not None and len(forced) > n:
-            raise ValueError(f"{len(forced) - n} forced outcomes left over "
-                             f"after the {n} steps of {protocol}")
-        for force in forced or ():
-            if force not in (+1, -1):
-                raise ValueError(f"forced outcome must be +-1, got {force}")
-        self.rng = rng
-        self.draw = rng if forced is None else None   # samples own outcomes
-        self.mode = correction_mode
-        self.psi = state.amplitudes
-        self.run = ProtocolRun(protocol)
-
-    def measure_free(self, parity: MajoranaString, form, force: int | None) -> int:
-        """One measurement with a free outcome (sampled or forced)."""
-        outcome, self.psi, prob = mj._measure_amplitudes(
-            self.psi, *form, self.draw, force, parity)
-        self.run.steps.append(ProtocolStep(parity, outcome, prob))
-        return outcome
-
-    def measure_until_flip(self, pair_parity: MajoranaString, form,
-                           force: int | None, opening: int) -> int:
-        """Forced-measurement loop: measure (pair_parity, x3) pairs until the
-        x3 outcome differs from `opening`; returns the pair outcome of the
-        final round.  A failed round restores the pre-round state exactly,
-        so in forced mode only the succeeding round is taken.
-        """
-        run = self.run
-        closing = None if force is None else -opening
-        retries = 0
-        while True:
-            mid = self.measure_free(pair_parity, form, force)
-            outcome, self.psi, prob = mj._measure_amplitudes(
-                self.psi, *_X3_FORM, self.draw, closing, X3)
-            if outcome == -opening:
-                # the repeat-until-flip loop makes this outcome certain, so
-                # forced-branch bookkeeping records probability 1; sampled
-                # runs keep the actually drawn probability in their log
-                prob = 1.0 if closing is not None else prob
-                run.steps.append(ProtocolStep(X3, outcome, prob, retries))
-                run.total_retries += retries
-                return mid
-            retries += 1
-            run.steps.append(ProtocolStep(X3, outcome, prob))
-            if retries >= RETRY_CAP:
-                raise RuntimeError(
-                    f"forced-measurement loop exceeded {RETRY_CAP} retries; "
-                    f"log: {[(mj.format_string(s.parity), s.outcome) for s in run.steps]}"
-                )
-
-    def apply_correction(self, name: str):
-        """Apply a correction gate: 1, x_j, z_j, or p_j (phase gate)."""
-        run = self.run
-        run.corrections.append(name)
-        if name == "1":
-            return
-        kind, qubit = name[0], int(name[1])
-        if self.mode == "classical":
-            psi = self.psi
-            if kind == "p":
-                psi = (psi + apply(PHASE_PAIR[qubit], psi)) / np.sqrt(2)
-            else:
-                psi = apply(pauli(kind, qubit), psi)
-            self.psi = FockState(psi).amplitudes      # checks the unit norm
-            return
-        # measured mode: corrections are measurement protocols themselves
-        sub_id = f"phase{qubit}" if kind == "p" else f"pauli-{kind}{qubit}"
-        sub = _run(sub_id, mj._unit_state(self.psi), self.rng, None, "measured")
-        if run.own_steps is None:
-            run.own_steps = len(run.steps)
-        self.psi = sub.state.amplitudes
-        run.steps.extend(sub.steps)
-        run.corrections.extend(f"  {c}" for c in sub.corrections)
-        run.total_retries += sub.total_retries
-
-
 def _run(protocol: str, state: FockState, rng: np.random.Generator | None,
          forced: list[int] | None, correction_mode: str) -> ProtocolRun:
-    """Measure the gate's steps (an until-flip gate loops on steps[1]),
-    then apply the corrections its table picks."""
+    """Measure the gate's steps on raw amplitudes (an until-flip gate repeats
+    steps[1] with a closing x3 until that x3 flips the steps[0] outcome; a
+    failed round restores the pre-round state exactly, so in forced mode only
+    the succeeding round is taken), then apply the corrections its table
+    picks: directly in classical mode, as measured sub-protocols otherwise.
+    Every argument is checked before anything is measured or drawn."""
     gate = _gate(protocol)
-    ex = _Executor(protocol, gate, state, rng, forced, correction_mode)
-    outcomes = []
+    if correction_mode not in ("measured", "classical"):
+        raise ValueError(f"bad correction mode {correction_mode!r}")
+    n = len(gate.steps)
+    if forced is not None:
+        if len(forced) < n:
+            raise ValueError("forced outcome list exhausted")
+        if len(forced) > n:
+            raise ValueError(f"{len(forced) - n} forced outcomes left over "
+                             f"after the {n} steps of {protocol}")
+        for force in forced:
+            if isinstance(force, bool) or not isinstance(force, (int, np.integer)) \
+                    or force not in (+1, -1):
+                raise ValueError(f"forced outcome must be +-1, got {force!r}")
+        forced = [int(force) for force in forced]
+    if rng is None and (forced is None or (correction_mode == "measured" and any(
+            name != "1" for name in gate.corrections(forced)))):
+        raise ValueError("need an rng unless all outcomes are forced and no "
+                         "measured correction runs")
+    draw = rng if forced is None else None      # samples the gate's own outcomes
+    psi = state.amplitudes
+    steps, outcomes = [], []
     for i, (parity, form) in enumerate(zip(gate.steps, gate.forms)):
         force = None if forced is None else forced[i]
-        if gate.until_flip and i == 1:
-            outcomes.append(ex.measure_until_flip(parity, form, force, outcomes[0]))
+        loop = gate.until_flip and i == 1
+        for retries in range(RETRY_CAP if loop else 1):
+            outcome, psi, prob = mj._measure_amplitudes(psi, *form, draw, force, parity)
+            steps.append(ProtocolStep(parity, outcome, prob))
+            if not loop:
+                break
+            flip = -outcomes[0]
+            closing, psi, prob = mj._measure_amplitudes(
+                psi, *_X3_FORM, draw, None if force is None else flip, X3)
+            if closing == flip:
+                # the loop makes this outcome certain, so forced-branch
+                # bookkeeping records probability 1; sampled runs keep the
+                # drawn probability in their log
+                steps.append(ProtocolStep(X3, closing, prob if force is None else 1.0,
+                                          retries))
+                break
+            steps.append(ProtocolStep(X3, closing, prob))
         else:
-            outcomes.append(ex.measure_free(parity, form, force))
-    for name in gate.corrections(outcomes):
-        ex.apply_correction(name)
-    ex.run.state = mj._unit_state(ex.psi)
-    return ex.run
+            raise RuntimeError(
+                f"forced-measurement loop exceeded {RETRY_CAP} retries; "
+                f"log: {[(mj.format_string(s.parity), s.outcome) for s in steps]}")
+        outcomes.append(outcome)
+    own_steps, corrections = len(steps), []
+    for name in gate.corrections(outcomes):      # 1, x_j, z_j or p_j
+        corrections.append(name)
+        if name == "1":
+            continue
+        kind, qubit = name[0], int(name[1])
+        if correction_mode == "classical":
+            psi = ((psi + apply(PHASE_PAIR[qubit], psi)) / np.sqrt(2) if kind == "p"
+                   else apply(pauli(kind, qubit), psi))
+            psi = FockState(psi).amplitudes     # checks the unit norm
+            continue
+        sub = _run(f"phase{qubit}" if kind == "p" else f"pauli-{kind}{qubit}",
+                   mj._unit_state(psi), rng, None, "measured")
+        psi = sub.state.amplitudes
+        steps += sub.steps
+        corrections += [f"  {c}" for c in sub.corrections]
+    return ProtocolRun(protocol, steps, corrections, mj._unit_state(psi), own_steps)
 
 
 def run_protocol(protocol, state, rng=None, forced=None,
                  correction_mode="measured") -> ProtocolRun:
     """Run a protocol by id (see PROTOCOL_IDS).  Give an rng, or force every
-    free outcome (the rng then drives measured corrections only)."""
+    free outcome (an rng then drives measured corrections, if any run)."""
     return _run(protocol, state, rng, forced, correction_mode)
 
 

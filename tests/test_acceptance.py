@@ -351,20 +351,52 @@ def test_criterion_7_decoupling_subset():
     assert report(7, ok, f"max chain-vs-2D quasienergy deviation {worst:.2e}")
 
 
+def _criterion_8_runs():
+    """(name, command, config) of every command on small configs: spectrum
+    open and periodic-both, modes, protocol (enumerate and sample, both
+    correction modes), readout (two-lead sweep and four-lead) and ptcheck."""
+    lat = dataclasses.asdict(fig_s1_params(Nx=6, Ny=6))     # 8 corner modes
+    base = {"lattice": lat, "sambe": {"cutoff": 3}}
+    runs = [("spectrum-open", "spectrum", base), ("modes", "modes", base),
+            ("spectrum-periodic", "spectrum",
+             dict(base, lattice=dict(lat, boundary="periodic-both")))]
+    for mode in ("enumerate", "sample"):
+        for correction in ("measured", "classical"):
+            runs.append((f"protocol-{mode}-{correction}", "protocol", {
+                "protocol": {"id": "cnot", "mode": mode, "seed": 123,
+                             "n_inputs": 2, "samples": 4,
+                             "correction_mode": correction}}))
+    runs += [("readout-two-lead", "readout", {"readout": {
+                 "parity": "i gp1 gp2", "direct": 0.02, "flux0": 0.9,
+                 "sweep_variable": "flux1", "sweep_points": 9}}),
+             ("readout-four-lead", "readout", {"readout": {
+                 "parity": "g01 g02 g03 g04", "direct": 0.02, "flux0": 0.3}}),
+             ("ptcheck", "ptcheck", {"ptcheck": {
+                 "lambdas": [0.01, 0.02, 0.04], "expansion_sites": 40,
+                 "expansion_order": 2}})]
+    return runs
+
+
 def test_criterion_8_reproducibility(tmp_path):
-    cfg = {"protocol": {"id": "cnot", "mode": "sample", "seed": 123,
-                        "n_inputs": 2, "samples": 4}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    blobs = []
-    for name in ("r1", "r2"):
-        out = tmp_path / name
-        r = subprocess.run(
-            [sys.executable, "-m", "cornerlab.cli", "protocol",
-             "--config", str(path), "--out", str(out)],
-            capture_output=True, text=True)
-        assert r.returncode == 0
-        blobs.append((out / "protocol_log.json").read_bytes()
-                     + (out / "protocol_report.json").read_bytes())
-    ok = blobs[0] == blobs[1]
-    assert report(8, ok, f"byte-identical outputs: {ok}")
+    """Each command, run twice in fresh processes, writes byte-identical
+    files (for one numpy, scipy, BLAS build and BLAS thread count)."""
+    differ, n_files = [], 0
+    for name, command, cfg in _criterion_8_runs():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        outputs = []
+        for run in ("r1", "r2"):
+            out = tmp_path / name / run
+            r = subprocess.run(
+                [sys.executable, "-m", "cornerlab.cli", command,
+                 "--config", str(path), "--out", str(out)],
+                capture_output=True, text=True)
+            assert r.returncode == 0, (name, r.stderr)
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0], name
+        n_files += len(outputs[0])
+        if outputs[0] != outputs[1]:
+            differ.append(name)
+    ok = not differ
+    assert report(8, ok, f"byte-identical outputs of {n_files} files: {ok}, "
+                         f"differing runs {differ}")

@@ -174,6 +174,20 @@ def test_driven_bdg_rejects_non_finite_harmonics():
         with pytest.raises(ValueError, match="not finite"):
             DrivenBdG(harmonics, 1.0)
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_driven_bdg_rejects_non_finite_omega(bad):
+    with pytest.raises(ValueError, match="omega must be finite"):
+        DrivenBdG({0: np.eye(2)}, bad)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        kitaev_chain_bdg(4, J=1.0, Delta=1.0, mu0=0.3, mu1=0.5, omega=bad)
+    # an infinite drive amplitude raises ValueError, not a RuntimeWarning
+    # from inf * 0 (the suite turns RuntimeWarnings into errors)
+    if not np.isnan(bad):
+        with pytest.raises(ValueError, match="harmonics 1/-1 .* not finite"):
+            kitaev_chain_bdg(4, J=1.0, Delta=1.0, mu0=0.3, mu1=bad)
+    assert DrivenBdG({0: np.eye(2)}, 0.0).omega == 0.0      # static is legal
+
 def test_kitaev_chain_matches_loop_build():
     for n, args in ((1, (0.7, 0.4, 0.3, 0.9)), (2, (1.0, 1.0, 0.0, 0.0)),
                     (40, (0.3, 0.31, 0.05, 0.4)), (61, (1.2, 1.15, -1.0, 0.5))):

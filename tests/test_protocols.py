@@ -164,6 +164,9 @@ def test_overlong_forced_list_raises(rng):
     # a z1 correction row: the measured correction would sample first
     ([1, 1, -1, 1], "1 forced outcomes left over after the 3 steps of phase1"),
     ([1, 1, 0], "forced outcome must be \\+-1, got 0"),
+    ([True, 1, 1], "forced outcome must be \\+-1, got True"),
+    ([1, 1.0, 1], "forced outcome must be \\+-1, got 1.0"),
+    ([1, 1, np.True_], "forced outcome must be \\+-1, got (np\\.)?True"),
 ])
 def test_forced_list_checked_before_any_draw(forced, message):
     state = random_logical_inputs("phase1", 1, np.random.default_rng(2))[0]
@@ -171,6 +174,35 @@ def test_forced_list_checked_before_any_draw(forced, message):
     with pytest.raises(ValueError, match=message):
         run_phase(state, 1, forced=forced, rng=rng, correction_mode="measured")
     assert rng.bit_generator.state == copy.bit_generator.state
+
+
+def test_forced_numpy_integers_run_as_ints():
+    state = random_logical_inputs("phase1", 1, np.random.default_rng(2))[0]
+    run = run_phase(state, 1, forced=list(np.array([1, -1, 1])),
+                    correction_mode="classical")
+    ref = run_phase(state, 1, forced=[1, -1, 1], correction_mode="classical")
+    assert run.outcomes == (1, -1, 1)
+    assert all(type(o) is int for o in run.outcomes)
+    assert run.state.amplitudes.tobytes() == ref.state.amplitudes.tobytes()
+
+
+def test_forced_measured_corrections_need_an_rng(monkeypatch):
+    state = random_logical_inputs("phase1", 1, np.random.default_rng(2))[0]
+    calls = []
+    kernel = mj._measure_amplitudes
+    monkeypatch.setattr(mj, "_measure_amplitudes",
+                        lambda *a: calls.append(a) or kernel(*a))
+    # the z1 row runs a measured sub-protocol that samples: refused up front
+    with pytest.raises(ValueError, match="need an rng"):
+        run_protocol("phase1", state, forced=[1, 1, -1],
+                     correction_mode="measured")
+    assert calls == []
+    # the identity row measures nothing beyond the forced steps
+    run = run_protocol("phase1", state, forced=[1, 1, 1],
+                       correction_mode="measured")
+    assert run.corrections == ["1"] and len(calls) == 3
+    # classical corrections draw nothing, so any row runs without an rng
+    run_protocol("phase1", state, forced=[1, 1, -1], correction_mode="classical")
 
 
 def _chain_public_measurements(pid, state, signs):
